@@ -265,7 +265,6 @@ _RATE_COUNTERS = (
     "partition.analysis_memo_hit_rate",
     "partition.length_memo_hit_rate",
     "replicate.rescore_skip_rate",
-    "kernels.numpy_enabled",
 )
 
 
@@ -311,17 +310,6 @@ def _counter_totals(results) -> dict[str, float]:
     if walks:
         totals["replicate.rescore_skip_rate"] = (
             totals.get("replicate.subgraph_reused", 0.0) / walks
-        )
-    numpy_flags = [
-        res.result.diagnostics.counters.get("kernels.numpy_enabled")
-        for res in results
-        if res.ok and res.result.diagnostics is not None
-    ]
-    if any(flag is not None for flag in numpy_flags):
-        # A 0/1 backend flag, not an additive count: report whether ANY
-        # job ran with the NumPy kernels allowed.
-        totals["kernels.numpy_enabled"] = float(
-            any(flag for flag in numpy_flags if flag)
         )
     return totals
 
@@ -609,6 +597,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the compilation service (or its self-verifying smoke mode)."""
     import asyncio
+    import signal
 
     from repro.serve.cluster import run_smoke
     from repro.serve.server import ServeConfig, ServeServer, build_service
@@ -639,6 +628,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache, _admission, manager, _metrics = build_service(config, bus=bus)
         server = ServeServer(manager, cache, host=config.host, port=config.port)
         await server.start()
+        # SIGTERM takes the same cancel-and-drain path as Ctrl-C.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         log.info(
             "listening",
             url=server.url,

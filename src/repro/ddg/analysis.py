@@ -175,11 +175,6 @@ def _probe_positive(memo: _AnalysisMemo, csr, ii: int) -> bool:
     return cached
 
 
-#: Interior pivots per batched positive-cycle call during the RecMII
-#: bisection (the NumPy backend evaluates them in one kernel call).
-_REC_MII_BATCH = 8
-
-
 def _rec_mii_uncached(ddg: Ddg) -> int:
     csr = csr_mod.csr_view(ddg)
     high = max(1, sum(node.latency for node in ddg.nodes()))
@@ -187,29 +182,7 @@ def _rec_mii_uncached(ddg: Ddg) -> int:
         raise DdgError("graph has a zero-distance cycle; not a valid loop DDG")
     low = 1
     memo = _memo_for(ddg)
-    batched = csr_mod.numpy_active(csr)
     while low < high:
-        if batched and high - low > 2:
-            # Split [low, high) with up to _REC_MII_BATCH evenly spaced
-            # pivots, decided by one vectorized kernel call. The test is
-            # monotone in the II, so the batch brackets the boundary.
-            span = high - low
-            count = min(_REC_MII_BATCH, span - 1) or 1
-            pivots = sorted(
-                {low + (span * step) // (count + 1) for step in range(1, count + 1)}
-                | {(low + high) // 2}
-            )
-            results = csr_mod.has_positive_cycle_batch(csr, pivots)
-            for pivot, positive in zip(pivots, results):
-                memo.entries[("poscycle", pivot)] = positive
-                memo.stats.prefills += 1
-            for pivot, positive in zip(pivots, results):
-                if positive:
-                    low = pivot + 1
-                else:
-                    high = pivot
-                    break
-            continue
         mid = (low + high) // 2
         if _probe_positive(memo, csr, mid):
             low = mid + 1

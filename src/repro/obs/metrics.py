@@ -66,7 +66,7 @@ class Histogram:
 
     ``counts[i]`` counts observations ``<= bounds[i]``; the final slot
     is the overflow bucket. ``count``/``total``/``max`` are exact;
-    quantiles are bucket upper-bound approximations.
+    quantiles are bucket upper-bound approximations capped at ``max``.
     """
 
     __slots__ = ("name", "bounds", "counts", "count", "total", "max")
@@ -94,7 +94,11 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper bound of the covering bucket."""
+        """Approximate quantile: the covering bucket's upper bound.
+
+        Clamped to the exact maximum, so no quantile exceeds the largest
+        observation.
+        """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         if self.count == 0:
@@ -105,7 +109,7 @@ class Histogram:
             running += bucket
             if running >= target and bucket:
                 if index < len(self.bounds):
-                    return self.bounds[index]
+                    return min(self.bounds[index], self.max)
                 return self.max
         return self.max
 

@@ -41,7 +41,7 @@ from repro.core.macro import macro_replicate
 from repro.core.plan import EMPTY_PLAN, ReplicationPlan
 from repro.core.replicator import replicate
 from repro.ddg.analysis import analysis_memo_stats, mii
-from repro.ddg.csr import kernel_dispatch_stats, numpy_allowed
+from repro.ddg.csr import kernel_dispatch_stats
 from repro.ddg.graph import Ddg
 from repro.machine.config import MachineConfig
 from repro.obs.metrics import MetricsRegistry
@@ -56,7 +56,6 @@ from repro.pipeline.driver import (
     UnschedulableError,
 )
 from repro.schedule.kernel import Kernel
-from repro.schedule.order import schedule_memo_stats
 from repro.schedule.placed import PlacedGraph, build_placed_graph
 from repro.schedule.scheduler import FailureCause, ScheduleFailure, schedule
 
@@ -334,27 +333,15 @@ class SchedulePass:
 
     name = "schedule"
 
-    def __init__(self) -> None:
-        # The memo counters are process-global; gauges report this
-        # compilation's delta against the snapshot taken at stack build.
-        self._memo_base = schedule_memo_stats().snapshot()
-
     def run(self, ctx: CompilationContext) -> None:
         ctx.diagnostics.schedule_attempts += 1
         ctx.pass_metrics(self).counter("attempts").inc()
-        try:
-            ctx.kernel = schedule(
-                ctx.graph,
-                ctx.machine,
-                ctx.ii,
-                copy_latency_override=ctx.config.copy_latency_override,
-            )
-        finally:
-            metrics = ctx.pass_metrics(self)
-            for name, value in (
-                schedule_memo_stats().delta(self._memo_base).items()
-            ):
-                metrics.gauge(f"memo_{name}").set(value)
+        ctx.kernel = schedule(
+            ctx.graph,
+            ctx.machine,
+            ctx.ii,
+            copy_latency_override=ctx.config.copy_latency_override,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -536,28 +523,30 @@ def run_pass_pipeline(
             ctx.begin_attempt(ii)
             failure: Exception | None = None
             with obs_span("pipeline.attempt", ii=ii) as attempt_span:
-                try:
-                    for stage in stack:
-                        started = time.perf_counter()
-                        with obs_span(f"pass.{stage.name}", ii=ii):
-                            try:
-                                stage.run(ctx)
-                            finally:
-                                ctx.diagnostics.add_stage_time(
-                                    stage.name, time.perf_counter() - started
-                                )
-                except ATTEMPT_FAILURES as caught:
-                    # A failed attempt is normal control flow, not a span
-                    # error: record the cause and let the span close clean.
-                    failure = caught
-                    attempt_span.set(failed=caught.cause.value)
+                for stage in stack:
+                    started = time.perf_counter()
+                    with obs_span(f"pass.{stage.name}", ii=ii) as pass_span:
+                        try:
+                            stage.run(ctx)
+                        except ATTEMPT_FAILURES as caught:
+                            # A failed attempt is normal control flow, not
+                            # a span error: record the cause on the pass
+                            # and the attempt and let both close clean.
+                            failure = caught
+                            pass_span.set(failed=caught.cause.value)
+                            attempt_span.set(failed=caught.cause.value)
+                        finally:
+                            ctx.diagnostics.add_stage_time(
+                                stage.name, time.perf_counter() - started
+                            )
+                    if failure is not None:
+                        break
             if failure is not None:
                 ctx.causes.append(failure.cause)
                 ii = escalation.next_ii(ii, failure)
                 continue
             compile_span.set(ii=ii, attempts=len(ctx.diagnostics.ii_trajectory))
             kernels = ctx.metrics.scoped("kernels")
-            kernels.gauge("numpy_enabled").set(1 if numpy_allowed() else 0)
             for key, value in (
                 kernel_dispatch_stats().delta(dispatch_base).items()
             ):

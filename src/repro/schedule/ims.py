@@ -30,7 +30,6 @@ from repro.schedule.mrt import ModuloReservationTable
 from repro.schedule.order import (
     OrderError,
     graph_cache,
-    instance_latencies,
     placed_analysis,
 )
 from repro.schedule.placed import PlacedGraph
@@ -56,12 +55,12 @@ def ims_schedule(
     except OrderError as exc:
         raise ScheduleFailure(FailureCause.RECURRENCES, str(exc)) from exc
 
-    latency = instance_latencies(graph, machine)
+    latency = analysis.latency
     instances = {inst.iid: inst for inst in graph.instances()}
     if not instances:
         return Kernel(graph=graph, machine=machine, ii=ii, ops={})
 
-    # Flattened adjacency, memoized across the II-escalation restarts.
+    # Flattened adjacency, shared across the II-escalation restarts.
     cache = graph_cache(graph)
     in_lists = cache.in_lists
     out_lists = cache.out_lists

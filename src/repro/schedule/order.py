@@ -17,20 +17,22 @@ then nodes are emitted greedily, always choosing the candidate with the
 most already-ordered neighbours, breaking ties by ascending slack, then
 ascending ASAP time, then instance id.
 
-Memoization
------------
+Shared structure
+----------------
 
 Figure 2's feedback loop re-schedules the *same* placed graph at an
-escalating II, so everything II-independent — flattened adjacency, the
-SCC condensation, instance latencies — and every per-(machine, II)
-analysis is cached on the graph via :func:`graph_cache`. The cache is
-held in a ``WeakKeyDictionary`` keyed by graph identity (placed graphs
-are never structurally mutated after :func:`~repro.schedule.placed.
-build_placed_graph` returns) and the flat edge list preserves the exact
-node-major edge order of the original nested loops, so relaxation
-results — including which round diverges — are bit-identical to the
-uncached implementation. :func:`schedule_memo_stats` exposes hit/miss
-counters that the pipeline surfaces as diagnostics.
+escalating II. Everything II-independent — flattened adjacency and the
+SCC condensation — is built once per graph by :func:`graph_cache` and
+shared by this module, :mod:`repro.schedule.scheduler` and
+:mod:`repro.schedule.ims`. The cache is held in a ``WeakKeyDictionary``
+keyed by graph identity (placed graphs are never structurally mutated
+after :func:`~repro.schedule.placed.build_placed_graph` returns), and
+the flat edge list preserves the exact node-major edge order of the
+original nested loops, so relaxation results — including which round
+diverges — are bit-identical to walking the graph directly. The
+per-II analysis itself is not cached: each placed graph is analysed
+once per II attempt, and :class:`PlacedAnalysis` carries the instance
+latencies it used so callers do not recompute them.
 """
 
 from __future__ import annotations
@@ -47,45 +49,10 @@ class OrderError(ValueError):
     """Raised when schedule-time bounds cannot be computed."""
 
 
-@dataclasses.dataclass
-class ScheduleMemoStats:
-    """Hit/miss counters for the placed-graph schedule memo."""
-
-    graphs_cached: int = 0
-    analysis_hits: int = 0
-    analysis_misses: int = 0
-    latency_hits: int = 0
-    latency_misses: int = 0
-
-    def snapshot(self) -> "ScheduleMemoStats":
-        """A copy for later delta computation."""
-        return dataclasses.replace(self)
-
-    def delta(self, base: "ScheduleMemoStats") -> dict[str, int]:
-        """Per-field increments since ``base``."""
-        return {
-            field.name: getattr(self, field.name) - getattr(base, field.name)
-            for field in dataclasses.fields(self)
-        }
-
-
-_MEMO_STATS = ScheduleMemoStats()
-
-
-def schedule_memo_stats() -> ScheduleMemoStats:
-    """The process-wide schedule memo counters (live object)."""
-    return _MEMO_STATS
-
-
 class _GraphCache:
-    """II-independent structure plus per-(machine, II) memo entries.
+    """II-independent structure of one placed graph."""
 
-    ``machine`` keys use ``id(machine)`` (configs hold dicts and are
-    unhashable); each entry pins the machine object so its id cannot be
-    recycled while the entry is alive.
-    """
-
-    __slots__ = ("ids", "edges", "in_lists", "out_lists", "latencies", "analyses", "scc")
+    __slots__ = ("ids", "edges", "in_lists", "out_lists", "scc")
 
     def __init__(self, graph: PlacedGraph) -> None:
         self.ids = [inst.iid for inst in graph.instances()]
@@ -109,8 +76,6 @@ class _GraphCache:
             for dst, distance in outs:
                 edges.append((iid, dst, distance))
                 in_lists[dst].append((iid, distance))
-        self.latencies: dict = {}
-        self.analyses: dict = {}
         self.scc = None
 
 
@@ -120,23 +85,27 @@ _GRAPH_CACHES: "weakref.WeakKeyDictionary[PlacedGraph, _GraphCache]" = (
 
 
 def graph_cache(graph: PlacedGraph) -> _GraphCache:
-    """The memo attached to ``graph`` (created on first use)."""
+    """The shared structure of ``graph`` (created on first use)."""
     cache = _GRAPH_CACHES.get(graph)
     if cache is None:
         cache = _GraphCache(graph)
         _GRAPH_CACHES[graph] = cache
-        _MEMO_STATS.graphs_cached += 1
     return cache
 
 
 @dataclasses.dataclass
 class PlacedAnalysis:
-    """ASAP/ALAP bounds of placed instances at a candidate II."""
+    """ASAP/ALAP bounds of placed instances at a candidate II.
+
+    ``latency`` is the instance latency map the bounds were computed
+    with (COPY latency already overridden when requested).
+    """
 
     ii: int
     asap: dict[int, int]
     alap: dict[int, int]
     length: int
+    latency: dict[int, int]
 
     def slack(self, iid: int) -> int:
         """Scheduling freedom of an instance."""
@@ -151,24 +120,13 @@ def instance_latencies(
     The override implements section 5.1's upper-bound experiment: bus
     transfers still occupy bus slots (the II effect is kept) but are
     treated as instantaneous for dependence/length purposes.
-
-    Memoized per (machine, override) on the graph; treat the returned
-    mapping as immutable.
     """
-    cache = graph_cache(graph)
-    key = (id(machine), copy_latency_override)
-    entry = cache.latencies.get(key)
-    if entry is not None:
-        _MEMO_STATS.latency_hits += 1
-        return entry[1]
-    _MEMO_STATS.latency_misses += 1
     latency = {}
     for inst in graph.instances():
         if inst.is_copy and copy_latency_override is not None:
             latency[inst.iid] = copy_latency_override
         else:
             latency[inst.iid] = graph.latency_of(inst, machine)
-    cache.latencies[key] = (machine, latency)
     return latency
 
 
@@ -180,41 +138,13 @@ def placed_analysis(
 ) -> PlacedAnalysis:
     """Longest-path ASAP/ALAP over instances (bus latency included).
 
-    Memoized per (machine, II, override) on the graph — divergence is
-    memoized too, so retrying an infeasible II re-raises immediately.
-    Treat the returned analysis as immutable.
+    Raises :class:`OrderError` when the ASAP relaxation diverges (the
+    II is below the placed graph's recurrence bound).
     """
     cache = graph_cache(graph)
-    key = (id(machine), ii, copy_latency_override)
-    entry = cache.analyses.get(key)
-    if entry is not None:
-        _MEMO_STATS.analysis_hits += 1
-        result = entry[1]
-        if isinstance(result, OrderError):
-            raise OrderError(str(result))
-        return result
-    _MEMO_STATS.analysis_misses += 1
-    try:
-        result = _placed_analysis_uncached(
-            cache, graph, machine, ii, copy_latency_override
-        )
-    except OrderError as exc:
-        cache.analyses[key] = (machine, exc)
-        raise
-    cache.analyses[key] = (machine, result)
-    return result
-
-
-def _placed_analysis_uncached(
-    cache: _GraphCache,
-    graph: PlacedGraph,
-    machine: MachineConfig,
-    ii: int,
-    copy_latency_override: int | None,
-) -> PlacedAnalysis:
     ids = cache.ids
     if not ids:
-        return PlacedAnalysis(ii=ii, asap={}, alap={}, length=0)
+        return PlacedAnalysis(ii=ii, asap={}, alap={}, length=0, latency={})
     latency = instance_latencies(graph, machine, copy_latency_override)
     edges = cache.edges
     rounds = len(ids) + 1
@@ -246,7 +176,9 @@ def _placed_analysis_uncached(
     else:  # pragma: no cover - symmetric to ASAP divergence
         raise OrderError(f"ALAP diverged at II={ii}")
 
-    return PlacedAnalysis(ii=ii, asap=asap, alap=alap, length=length)
+    return PlacedAnalysis(
+        ii=ii, asap=asap, alap=alap, length=length, latency=latency
+    )
 
 
 def compute_order(

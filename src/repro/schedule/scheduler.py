@@ -25,7 +25,6 @@ from repro.schedule.order import (
     OrderError,
     compute_order,
     graph_cache,
-    instance_latencies,
     placed_analysis,
 )
 from repro.schedule.placed import Instance, PlacedGraph
@@ -81,7 +80,7 @@ def _dependence_window(
     cycles are scanned: beyond that the modulo slots repeat.
 
     ``in_list``/``out_list`` are the instance's (neighbour, distance)
-    pairs from the :func:`~repro.schedule.order.graph_cache` memo.
+    pairs from the shared :func:`~repro.schedule.order.graph_cache`.
     """
     earliest: int | None = None
     latest: int | None = None
@@ -129,7 +128,6 @@ def schedule(
         except OrderError as exc:
             raise ScheduleFailure(FailureCause.RECURRENCES, str(exc)) from exc
 
-        latency = instance_latencies(graph, machine, copy_latency_override)
         order = compute_order(graph, machine, ii, analysis)
     cache = graph_cache(graph)
     in_lists = cache.in_lists
@@ -145,7 +143,7 @@ def schedule(
             window, both_sided = _dependence_window(
                 in_lists[inst.iid],
                 out_lists[inst.iid],
-                latency,
+                analysis.latency,
                 inst,
                 times,
                 ii,

@@ -208,7 +208,13 @@ class ServeServer:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            length = -1
+        if length < 0:
+            await _respond(writer, 400, {"error": "bad content-length"})
+            return
         if length > MAX_BODY_BYTES:
             await _respond(writer, 413, {"error": "body too large"})
             return

@@ -48,9 +48,9 @@ def percentile_from_buckets(
 ) -> float:
     """Approximate quantile of a (non-cumulative) bucket vector.
 
-    Returns the upper bound of the covering bucket — the same
-    approximation :meth:`repro.obs.metrics.Histogram.quantile` makes —
-    so dashboard numbers agree with ``/stats``. ``counts`` may include
+    Returns the upper bound of the covering bucket — the approximation
+    :meth:`repro.obs.metrics.Histogram.quantile` makes before capping at
+    the exact maximum, which bucket deltas do not carry. ``counts`` may include
     the overflow slot (one longer than ``bounds``); the overflow
     quantile reports the largest finite bound.
     """

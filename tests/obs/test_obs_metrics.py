@@ -1,5 +1,8 @@
 """Counters, gauges, histograms, and the registry."""
 
+import math
+import random
+
 import pytest
 
 from repro.obs.metrics import (
@@ -53,8 +56,21 @@ class TestHistogram:
         h = Histogram("t")
         for _ in range(100):
             h.observe(3e-6)  # lands in the (1e-6, 4e-6] bucket
+        h.observe(3e-5)  # lands in the (1.6e-5, 6.4e-5] bucket
         assert h.quantile(0.5) == 4e-6
-        assert h.quantile(1.0) == 4e-6
+        assert h.quantile(1.0) == 3e-5  # capped at the observed max
+
+    def test_quantile_brackets_the_exact_percentile(self):
+        rng = random.Random(7)
+        sample = [rng.lognormvariate(-9.0, 2.0) for _ in range(500)]
+        h = Histogram("t")
+        for value in sample:
+            h.observe(value)
+        ordered = sorted(sample)
+        for step in range(101):
+            q = step / 100
+            exact = ordered[max(1, math.ceil(q * len(ordered))) - 1]
+            assert exact <= h.quantile(q) <= max(sample)
 
     def test_quantile_edge_cases(self):
         h = Histogram("t")

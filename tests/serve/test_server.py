@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -126,6 +127,23 @@ class TestProtocolErrors:
         )
         assert status == 400
         assert b"bad job payload" in body
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, cluster, length):
+        # http.client would refuse to send these headers, so write the
+        # request bytes by hand.
+        port = int(cluster.url.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(
+                f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+                .encode("latin-1")
+            )
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        assert json.loads(body) == {"error": "bad content-length"}
 
     def test_wrong_method_is_405(self, cluster):
         assert self._raw(cluster, "DELETE", "/jobs")[0] == 405

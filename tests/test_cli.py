@@ -1,6 +1,16 @@
 """The command-line interface."""
 
+import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
+
+import repro
 
 from repro.cli import main
 from repro.ddg import io as ddg_io
@@ -361,6 +371,84 @@ class TestServeCLI:
         assert main(["serve", "--smoke", "--executor", "thread"]) == 0
         out = capsys.readouterr().out
         assert "serve smoke: OK" in out
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="needs Linux /proc"
+    )
+    def test_sigterm_drains_and_reaps_the_pool(self, tmp_path):
+        from repro.engine.jobs import CompileJob
+        from repro.pipeline.driver import Scheme
+        from repro.serve.client import ServeClient
+
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), REPRO_LOG="json")
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--executor", "process", "--workers", "1",
+                "--data-dir", str(tmp_path),
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            url = None
+            for record in _log_records(server.stderr):
+                if record["event"] == "listening":
+                    url = record["url"]
+                    break
+            assert url is not None, "server exited before listening"
+            client = ServeClient(url)
+            job = CompileJob(ddg=daxpy(), machine="2c1b2l64r", scheme=Scheme.BASELINE)
+            client.submit(job)
+            assert client.wait(job.content_hash(), timeout=120.0)["outcome"] == "ok"
+            workers = _descendants(server.pid)
+            assert workers, "the process pool spawned no worker"
+
+            server.send_signal(signal.SIGTERM)
+            _, rest = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0
+        events = [record["event"] for record in _log_records(rest.splitlines())]
+        assert "draining" in events
+        deadline = time.monotonic() + 10
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+
+
+def _log_records(lines):
+    """The JSON log records among a stream of stderr lines."""
+    for line in lines:
+        if line.startswith("{"):
+            yield json.loads(line)
+
+
+def _descendants(pid):
+    """Pids of every live descendant of ``pid`` (Linux /proc)."""
+    found = []
+    pending = [pid]
+    while pending:
+        parent = pending.pop()
+        for task in pathlib.Path(f"/proc/{parent}/task").glob("*"):
+            children = (task / "children").read_text().split()
+            found.extend(int(child) for child in children)
+            pending.extend(int(child) for child in children)
+    return found
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie awaiting its reaper counts as gone)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestParser:
