@@ -65,11 +65,12 @@ class Histogram:
     """A distribution over fixed log-scale buckets.
 
     ``counts[i]`` counts observations ``<= bounds[i]``; the final slot
-    is the overflow bucket. ``count``/``total``/``max`` are exact;
-    quantiles are bucket upper-bound approximations capped at ``max``.
+    is the overflow bucket. ``count``/``total``/``min``/``max`` are
+    exact; quantiles are bucket upper-bound approximations clamped to
+    ``[min, max]``.
     """
 
-    __slots__ = ("name", "bounds", "counts", "count", "total", "max")
+    __slots__ = ("name", "bounds", "counts", "count", "total", "min", "max")
 
     def __init__(self, name: str, bounds: tuple[float, ...] | None = None) -> None:
         self.name = name
@@ -79,11 +80,14 @@ class Histogram:
         self.counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
+        self.min = 0.0
         self.max = 0.0
 
     def observe(self, value: float) -> None:
         """Record one observation."""
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
+        if not self.count or value < self.min:
+            self.min = value
         self.count += 1
         self.total += value
         if value > self.max:
@@ -96,8 +100,8 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Approximate quantile: the covering bucket's upper bound.
 
-        Clamped to the exact maximum, so no quantile exceeds the largest
-        observation.
+        Clamped to the exact minimum and maximum, so every quantile lies
+        within the observed range.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
@@ -109,7 +113,7 @@ class Histogram:
             running += bucket
             if running >= target and bucket:
                 if index < len(self.bounds):
-                    return min(self.bounds[index], self.max)
+                    return max(self.min, min(self.bounds[index], self.max))
                 return self.max
         return self.max
 
@@ -121,13 +125,15 @@ class Histogram:
             )
         for index, bucket in enumerate(other.counts):
             self.counts[index] += bucket
+        if other.count and (not self.count or other.min < self.min):
+            self.min = other.min
         self.count += other.count
         self.total += other.total
         if other.max > self.max:
             self.max = other.max
 
     def to_wire(self) -> dict:
-        """Lossless JSON form: buckets + exact count/sum/max + quantiles.
+        """Lossless JSON form: buckets + exact count/sum/min/max + quantiles.
 
         The typed counterpart of the :meth:`MetricsRegistry.snapshot`
         flatten (which drops the bucket vector): ``bounds``/``counts``
@@ -141,6 +147,7 @@ class Histogram:
             "counts": list(self.counts),
             "count": self.count,
             "sum": self.total,
+            "min": self.min,
             "max": self.max,
             "p50": self.quantile(0.50),
             "p95": self.quantile(0.95),
@@ -149,11 +156,16 @@ class Histogram:
 
     @staticmethod
     def from_wire(record: dict, name: str = "") -> "Histogram":
-        """Rebuild a histogram from :meth:`to_wire` output."""
+        """Rebuild a histogram from :meth:`to_wire` output.
+
+        A record without ``min`` (written before it was carried) reads
+        as min 0.0, which leaves non-negative samples unclamped.
+        """
         histogram = Histogram(name or "histogram", tuple(record["bounds"]))
         histogram.counts = [int(c) for c in record["counts"]]
         histogram.count = int(record["count"])
         histogram.total = float(record["sum"])
+        histogram.min = float(record.get("min", 0.0))
         histogram.max = float(record["max"])
         return histogram
 

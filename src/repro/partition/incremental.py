@@ -1,31 +1,46 @@
 """Incremental move evaluation for the refinement hot path.
 
 Refinement (Figure 2's inner loop) scores hundreds of candidate
-single-node moves per loop, and historically paid for each one with a
-full :func:`~repro.partition.pseudo.pseudo_schedule` — an O(V·E)
-longest-path relaxation plus fresh load tables and a whole-graph
-communication recount — on a freshly copied
-:class:`~repro.partition.partition.Partition`. This module replaces
-that with a :class:`MoveEvaluator` that owns mutable state and updates
-it in O(degree) per :meth:`~MoveEvaluator.apply`/:meth:`~MoveEvaluator.undo`:
+single-node moves per loop. A :class:`MoveEvaluator` owns the state a
+pseudo-schedule is computed from and scores every candidate
+*read-only*: :meth:`~MoveEvaluator.trial` returns the cheap
+lexicographic prefix (capacity violation, II estimate, communication
+count) and the load imbalance the move *would* produce, without
+touching the state, and :meth:`~MoveEvaluator.trial_length` answers the
+expensive bus-penalized critical path for the moved assignment only when
+that prefix ties. Only a move refinement accepts is applied, in
+O(degree), by :meth:`~MoveEvaluator.apply`/:meth:`~MoveEvaluator.apply_replicate`;
+:meth:`~MoveEvaluator.undo` rolls one back.
 
-* per-cluster, per-FU-kind load tables and totals;
-* per-cluster value-producer counts (the register floor);
+The maintained state:
+
+* per-cluster, per-FU-kind load tables and totals, plus the resource
+  II as a (max bound, cells at the max) pair, so a trial's resource II
+  is O(1) — only when the one cell at the max drops is the table
+  rescanned;
+* per-cluster value-producer counts and how many clusters exceed
+  their register file (the register floor);
 * per-node counts of *foreign* register out-edges, so the partition's
   communication count is a running integer, not an edge scan;
 * per-node counts of foreign register neighbours, so the boundary (the
   set of profitable move candidates) is *maintained*, not recomputed.
 
-Scoring exploits the pseudo-schedule's lexicographic key: the cheap
-prefix (capacity violation, II estimate, communication count) is O(1)
-from the maintained state, and the expensive ``length_estimate`` — the
-bus-penalized critical path — is only computed when the prefix ties,
-via the CSR relaxation kernel (:func:`repro.ddg.csr.penalized_length`).
-Every quantity matches the from-scratch ``pseudo_schedule`` bit for
-bit (the equivalence property test drives thousands of random moves to
-hold this line), so refinement decisions are unchanged — only cheaper.
+A trial's communication count is O(degree): the moved node and each of
+its register producers is re-judged once against its foreign-out count
+(a graph holds one register edge per ordered pair, and in a 2-cycle the
+two nodes are judged as separate producers; with replicas live, the
+affected producers are recounted on local copies of their consumer
+counts). The register floor is O(1) and the imbalance O(clusters). The
+length goes through the
+CSR relaxation kernel (:func:`repro.ddg.csr.penalized_length`) behind a
+memo keyed on (II estimate, assignment[, replicas]); the memo can be
+shared by every evaluator of one (DDG, machine), since the length is a
+pure function of that key. Every quantity matches the from-scratch
+``pseudo_schedule`` bit for bit and every trial matches apply → score →
+undo (the property tests drive thousands of random moves to hold both
+lines), so refinement decisions are unchanged — only cheaper.
 
-Moves come in two kinds, both O(degree) to apply, undo and redo:
+Moves come in two kinds, both O(degree) to score, apply and undo:
 
 * :class:`ReassignMove` — the classic "move node to another cluster";
 * :class:`ReplicateMove` — *clone* a node into a target cluster, the
@@ -39,15 +54,15 @@ Moves come in two kinds, both O(degree) to apply, undo and redo:
 
 The replica tables (per-producer consumer-cluster counts, uncovered
 cluster counts, the replica-aware communication total) are built lazily
-on the first replicate move, so evaluators that never replicate — the
-four paper schemes — run the exact historical code path and generate
-bit-identical move streams.
+on the first replicate move, trial or candidate scan, so evaluators that
+never replicate — the four paper schemes — run the exact historical code
+path and generate bit-identical move streams.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
+from collections.abc import Iterator
 
 from repro.ddg.csr import (
     FU_KINDS,
@@ -69,28 +84,33 @@ class EvaluatorStats:
     ``CompileDiagnostics`` counters surfaced by ``repro bench``.
 
     Attributes:
-        pseudo_evaluations: candidate moves scored.
+        pseudo_evaluations: candidate moves scored (read-only trials).
         lengths_computed: bus-penalized critical-path relaxations run
             (the expensive part of a pseudo-schedule).
         lengths_skipped: candidate scorings decided on the cheap
             lexicographic prefix alone, with no relaxation.
-        lengths_memoized: length asks answered from the cluster-keyed
-            memo (refinement revisits assignments constantly — undo
-            paths, re-scored candidates — and the critical path is a
-            pure function of the assignment and the II estimate).
-        moves_applied: O(degree) state updates performed (both kinds).
-        moves_reverted: applied moves that were rolled back.
+        lengths_memoized: length asks answered from the
+            assignment-keyed memo (refinement re-scores the same
+            assignments across candidate scans and II attempts, and the
+            critical path is a pure function of the assignment and the
+            II estimate).
+        moves_applied: O(degree) state updates performed (both kinds);
+            trials never update state, so in refinement this is the
+            number of accepted moves.
+        moves_reverted: applied moves rolled back by ``undo``
+            (refinement never rolls back).
         moves_accepted: moves kept by refinement.
-        plain_moves: reassignment moves applied (trials included).
-        replicate_moves: replicate moves applied (trials included).
+        plain_moves: reassignment trials scored.
+        replicate_moves: replicate trials scored.
         plain_accepted: reassignment moves refinement kept.
-        plain_rejected: reassignment trials refinement rolled back.
+        plain_rejected: reassignment trials refinement turned down.
         replicate_accepted: replicate moves refinement kept.
-        replicate_rejected: replicate trials refinement rolled back.
+        replicate_rejected: replicate trials refinement turned down.
         replicas_surviving: replica instances alive in the partition the
-            last replicating refinement returned.
+            last refinement returned.
         refine_calls: refinement invocations observed.
-        refine_seconds: wall time spent inside refinement.
+        refine_seconds: CPU time (``time.thread_time``) spent inside
+            refinement.
     """
 
     pseudo_evaluations: int = 0
@@ -146,7 +166,11 @@ class EvaluatorStats:
 
 @dataclasses.dataclass(frozen=True)
 class Move:
-    """One applied reassignment, undoable via :meth:`MoveEvaluator.undo`."""
+    """One reassignment of ``uid`` from ``src_cluster`` to ``dst_cluster``.
+
+    Score it with :meth:`MoveEvaluator.trial`; once applied, roll it
+    back with :meth:`MoveEvaluator.undo`.
+    """
 
     uid: int
     src_cluster: int
@@ -160,9 +184,9 @@ ReassignMove = Move
 
 @dataclasses.dataclass(frozen=True)
 class ReplicateMove:
-    """One applied replication of ``uid`` into ``cluster``.
+    """One replication of ``uid`` into ``cluster``.
 
-    Undoing it (:meth:`MoveEvaluator.undo`) is the paired
+    Undoing an applied one (:meth:`MoveEvaluator.undo`) is the paired
     de-replication: the replica instance and every table contribution it
     made are removed, in O(degree).
     """
@@ -176,6 +200,12 @@ class MoveEvaluator:
 
     The evaluator never mutates the partition it was built from; call
     :meth:`to_partition` to materialize the current assignment.
+
+    ``length_memo`` is the (II estimate, assignment[, replicas]) ->
+    length memo; pass one dict to every evaluator of the same DDG and
+    machine to share relaxations between them (the multilevel
+    partitioner does, across II attempts). By default each evaluator
+    keeps its own.
     """
 
     def __init__(
@@ -184,6 +214,7 @@ class MoveEvaluator:
         machine: MachineConfig,
         ii: int,
         stats: EvaluatorStats | None = None,
+        length_memo: dict[tuple, int] | None = None,
     ) -> None:
         self._machine = machine
         self._ii = ii
@@ -203,6 +234,15 @@ class MoveEvaluator:
         ]
 
         csr = self._csr
+        # Register neighbours per position, sliced out of the CSR once.
+        self._reg_out = [
+            csr.reg_out[lo:hi]
+            for lo, hi in zip(csr.reg_out_offsets, csr.reg_out_offsets[1:])
+        ]
+        self._reg_in = [
+            csr.reg_in[lo:hi]
+            for lo, hi in zip(csr.reg_in_offsets, csr.reg_in_offsets[1:])
+        ]
         self._cluster = [partition.cluster_of(uid) for uid in csr.uids]
         cluster = self._cluster
         self._load = [[0] * len(FU_KINDS) for _ in range(self._n_clusters)]
@@ -214,22 +254,26 @@ class MoveEvaluator:
             self._totals[home] += 1
             if not csr.is_store[position]:
                 self._producers[home] += 1
+        # Clusters hosting more value producers than registers.
+        self._over_registers = sum(
+            producers > registers
+            for producers, registers in zip(self._producers, self._registers)
+        )
+        # Resource II bookkeeping: the largest per-cell bound
+        # ceil(load / units) and how many cells sit at it.
+        self._res_max = 0
+        self._res_at_max = 0
+        self._rescan_resource()
 
-        self._foreign_out = [0] * csr.n_nodes
-        self._foreign_adj = [0] * csr.n_nodes
+        foreign_out = self._foreign_out = [0] * csr.n_nodes
+        foreign_adj = self._foreign_adj = [0] * csr.n_nodes
         for position in range(csr.n_nodes):
             home = cluster[position]
-            foreign_out = sum(
-                1
-                for consumer in csr.reg_out_neighbours(position)
-                if cluster[consumer] != home
-            )
-            self._foreign_out[position] = foreign_out
-            self._foreign_adj[position] = foreign_out + sum(
-                1
-                for producer in csr.reg_in_neighbours(position)
-                if cluster[producer] != home
-            )
+            for consumer in self._reg_out[position]:
+                if cluster[consumer] != home:
+                    foreign_out[position] += 1
+                    foreign_adj[position] += 1
+                    foreign_adj[consumer] += 1
         self._n_coms = sum(1 for count in self._foreign_out if count)
         self._boundary = {
             position
@@ -237,11 +281,10 @@ class MoveEvaluator:
             if count
         }
         # (ii_estimate, assignment[, replicas]) -> penalized length.
-        # Refinement revisits assignments constantly (candidate scans
-        # re-score the state they started from, undos return to scored
-        # states), and the length is a pure function of the key, so the
-        # memo answer is bit-identical to re-running the kernel.
-        self._length_memo: dict[tuple, int] = {}
+        # Refinement re-scores the same assignments constantly, and the
+        # length is a pure function of the key, so the memo answer is
+        # bit-identical to re-running the kernel.
+        self._length_memo = length_memo if length_memo is not None else {}
 
         # Replica tables, built lazily by the first replicate move so
         # plain-move-only evaluators keep the exact historical path:
@@ -255,6 +298,7 @@ class MoveEvaluator:
         #   _n_coms_replica    producers with _uncovered > 0 — the
         #                      replica-aware communication count.
         self._extra: list[set[int]] | None = None
+        self._frozen_extra: tuple[frozenset[int], ...] | None = None
         self._consumer_count: list[dict[int, int]] = []
         self._uncovered: list[int] = []
         self._n_coms_replica = 0
@@ -275,25 +319,224 @@ class MoveEvaluator:
         moving the home onto its own replica would collapse two
         instances into one, which placement rejects.
         """
-        csr = self._csr
+        return self._targets(self._csr.index[uid])
+
+    def _targets(self, position: int) -> list[int]:
         cluster = self._cluster
-        position = csr.index[uid]
-        home = cluster[position]
-        clusters = {
-            cluster[neighbour]
-            for neighbour in csr.reg_out_neighbours(position)
-        }
-        clusters.update(
-            cluster[neighbour]
-            for neighbour in csr.reg_in_neighbours(position)
+        clusters = set(
+            map(cluster.__getitem__, self._reg_out[position] + self._reg_in[position])
         )
-        clusters.discard(home)
+        clusters.discard(cluster[position])
         if self._extra is not None:
             clusters.difference_update(self._extra[position])
         return sorted(clusters)
 
+    def candidate_moves(self, replicate: bool) -> Iterator[Move | ReplicateMove]:
+        """The moves refinement tries, in scan order.
+
+        Every :meth:`boundary` node (ascending uid) to each of its
+        :meth:`move_targets`; then, with ``replicate``, every
+        :meth:`replicate_candidates` producer into each of its
+        :meth:`replicate_targets`. Lazy, so a scan that stops at the
+        first improving move enumerates nothing past it; the state must
+        not change while the scan runs.
+        """
+        uids = self._csr.uids
+        cluster = self._cluster
+        for position in sorted(self._boundary):
+            uid = uids[position]
+            home = cluster[position]
+            for target in self._targets(position):
+                yield Move(uid, home, target)
+        if replicate:
+            for uid in self.replicate_candidates():
+                for target in self.replicate_targets(uid):
+                    yield ReplicateMove(uid, target)
+
     # ------------------------------------------------------------------
-    # Moves
+    # Read-only scoring of candidate moves
+    # ------------------------------------------------------------------
+
+    def trial(
+        self, move: Move | ReplicateMove
+    ) -> tuple[tuple[bool, int, int], int]:
+        """``(prefix(), imbalance())`` as they would be after ``move``.
+
+        Read-only: no maintained table changes (a replicate trial only
+        builds the replica tables on first use, which is observably
+        free). O(degree) for the communication count, O(1) for the
+        resource II and the register floor, O(clusters) for the
+        imbalance. Counts the trial under its kind in
+        :class:`EvaluatorStats`.
+        """
+        csr = self._csr
+        position = csr.index[move.uid]
+        if isinstance(move, ReplicateMove):
+            self._activate_replicas()
+            self._stats.replicate_moves += 1
+            source = None
+            to = move.cluster
+            coms = self._n_coms_replica + self._replica_coms_delta(
+                position, None, to
+            )
+        else:
+            self._stats.plain_moves += 1
+            source = self._cluster[position]
+            to = move.dst_cluster
+            if self._extra is None:
+                coms = self._n_coms + self._shift_coms_delta(position, source, to)
+            else:
+                coms = self._n_coms_replica + self._replica_coms_delta(
+                    position, source, to
+                )
+
+        ii_res = self._trial_resource_ii(csr.fu_ord[position], source, to)
+        over_registers = self._over_registers
+        if not csr.is_store[position]:
+            producers, registers = self._producers, self._registers
+            over_registers += producers[to] == registers[to]
+            if source is not None:
+                over_registers -= producers[source] == registers[source] + 1
+        totals = self._totals.copy()
+        totals[to] += 1
+        if source is not None:
+            totals[source] -= 1
+        return (
+            self._key(ii_res, over_registers > 0, coms),
+            max(totals) - min(totals),
+        )
+
+    def trial_length(self, move: Move | ReplicateMove, ii_estimate: int) -> int:
+        """:meth:`length` of the state ``move`` would produce.
+
+        ``ii_estimate`` is the move's :meth:`trial` prefix estimate. The
+        assignment is flipped in place for the memo key and the
+        relaxation, then restored.
+        """
+        position = self._csr.index[move.uid]
+        if isinstance(move, ReplicateMove):
+            self._activate_replicas()
+            frozen = self._replica_key()
+            extra = self._extra[position]
+            extra.add(move.cluster)
+            key = (
+                ii_estimate,
+                tuple(self._cluster),
+                frozen[:position] + (frozenset(extra),) + frozen[position + 1 :],
+            )
+            try:
+                return self._length(key)
+            finally:
+                extra.discard(move.cluster)
+        cluster = self._cluster
+        source = cluster[position]
+        cluster[position] = move.dst_cluster
+        try:
+            return self.length(ii_estimate)
+        finally:
+            cluster[position] = source
+
+    def _shift_coms_delta(self, position: int, source: int, to: int) -> int:
+        """Change in the plain communication count if ``position`` moves.
+
+        A graph holds at most one register edge per ordered node pair,
+        so each producer's crossing is re-judged once; in a 2-cycle the
+        node and its neighbour are judged as separate producers.
+        """
+        cluster = self._cluster
+        foreign_out = self._foreign_out
+        own = 0
+        for consumer in self._reg_out[position]:
+            if consumer == position:
+                continue  # self loops move with the node
+            neighbour_cluster = cluster[consumer]
+            if neighbour_cluster == source:
+                own += 1
+            elif neighbour_cluster == to:
+                own -= 1
+        delta = 0
+        if own:
+            count = foreign_out[position]
+            delta = (count + own > 0) - (count > 0)
+        for producer in self._reg_in[position]:
+            if producer == position:
+                continue
+            neighbour_cluster = cluster[producer]
+            if neighbour_cluster == source:
+                delta += foreign_out[producer] == 0
+            elif neighbour_cluster == to:
+                delta -= foreign_out[producer] == 1
+        return delta
+
+    def _replica_coms_delta(
+        self, position: int, source: int | None, to: int
+    ) -> int:
+        """Change in the replica-aware count if an instance of
+        ``position`` moves ``source -> to`` (``source`` None: a new
+        replica in ``to``).
+
+        Only ``position`` and its register parents can change coverage;
+        each is recounted on a local copy of its consumer counts.
+        """
+        cluster = self._cluster
+        # Producer -> whether it feeds ``position`` (over one edge: a
+        # graph holds one register edge per ordered pair); ``position``
+        # itself feeds itself only through a self loop.
+        feeds = dict.fromkeys(self._reg_in[position], True)
+        feeds.setdefault(position, False)
+        delta = 0
+        for producer, fed in feeds.items():
+            counts = self._consumer_count[producer]
+            if fed:
+                counts = counts.copy()
+                if source is not None:
+                    counts[source] -= 1
+                counts[to] = counts.get(to, 0) + 1
+            home = cluster[producer]
+            extra = self._extra[producer]
+            if producer == position:
+                if source is None:
+                    extra = extra | {to}
+                else:
+                    home = to
+            uncovered = any(
+                count and consumer_cluster != home and consumer_cluster not in extra
+                for consumer_cluster, count in counts.items()
+            )
+            delta += uncovered - (self._uncovered[producer] > 0)
+        return delta
+
+    def _trial_resource_ii(self, kind: int, source: int | None, to: int) -> int:
+        """Resource II after one ``kind`` instance moves ``source -> to``."""
+        top = self._res_max
+        at_max = self._res_at_max
+        units = self._units
+        loads = self._load
+        count, unit = loads[to][kind], units[to][kind]
+        before, after = -(-count // unit), -(-(count + 1) // unit)
+        if after > top:
+            return after
+        if after == top and before < top:
+            at_max += 1
+        if source is not None:
+            count, unit = loads[source][kind], units[source][kind]
+            if -(-count // unit) == top and -(-(count - 1) // unit) < top:
+                at_max -= 1
+        if at_max:
+            return max(top, 1)
+        # The only cell at the max dropped: rescan with the trial loads.
+        bound = 1
+        for cluster, (cluster_loads, cluster_units) in enumerate(zip(loads, units)):
+            for cell_kind, (count, unit) in enumerate(
+                zip(cluster_loads, cluster_units)
+            ):
+                if cell_kind == kind:
+                    count += (cluster == to) - (cluster == source)
+                bound = max(bound, -(-count // unit))
+        return bound
+
+    # ------------------------------------------------------------------
+    # Moves (state updates; refinement applies only accepted ones)
     # ------------------------------------------------------------------
 
     def apply(self, uid: int, cluster: int) -> Move:
@@ -301,7 +544,6 @@ class MoveEvaluator:
         position = self._csr.index[uid]
         source = self._cluster[position]
         self._stats.moves_applied += 1
-        self._stats.plain_moves += 1
         self._shift(position, cluster)
         return Move(uid=uid, src_cluster=source, dst_cluster=cluster)
 
@@ -325,7 +567,6 @@ class MoveEvaluator:
                 f"node {uid} already has an instance in cluster {cluster}"
             )
         self._stats.moves_applied += 1
-        self._stats.replicate_moves += 1
         self._grow_replica(position, cluster)
         return ReplicateMove(uid=uid, cluster=cluster)
 
@@ -336,13 +577,6 @@ class MoveEvaluator:
             self._shrink_replica(self._csr.index[move.uid], move.cluster)
         else:
             self._shift(self._csr.index[move.uid], move.src_cluster)
-
-    def redo(self, move: Move | ReplicateMove) -> None:
-        """Re-apply a move just undone (no stats churn)."""
-        if isinstance(move, ReplicateMove):
-            self._grow_replica(self._csr.index[move.uid], move.cluster)
-        else:
-            self._shift(self._csr.index[move.uid], move.dst_cluster)
 
     def _bump_adjacency(self, position: int, delta: int) -> None:
         count = self._foreign_adj[position] + delta
@@ -360,6 +594,47 @@ class MoveEvaluator:
         elif count > 0 and count + delta == 0:
             self._n_coms -= 1
 
+    def _rescan_resource(self) -> None:
+        top = 0
+        at_max = 0
+        for cluster_loads, cluster_units in zip(self._load, self._units):
+            for count, units in zip(cluster_loads, cluster_units):
+                bound = -(-count // units)
+                if bound > top:
+                    top, at_max = bound, 1
+                elif bound == top:
+                    at_max += 1
+        self._res_max = top
+        self._res_at_max = at_max
+
+    def _count_instance(self, position: int, cluster: int, delta: int) -> None:
+        """Add (``delta`` 1) or remove (-1) one instance's load."""
+        csr = self._csr
+        kind = csr.fu_ord[position]
+        units = self._units[cluster][kind]
+        loads = self._load[cluster]
+        before = -(-loads[kind] // units)
+        loads[kind] += delta
+        after = -(-loads[kind] // units)
+        self._totals[cluster] += delta
+        if not csr.is_store[position]:
+            producers = self._producers[cluster]
+            registers = self._registers[cluster]
+            self._over_registers += (producers + delta > registers) - (
+                producers > registers
+            )
+            self._producers[cluster] = producers + delta
+        top = self._res_max
+        if after > top:
+            self._res_max = after
+            self._res_at_max = 1
+        elif after == top and before != top:
+            self._res_at_max += 1
+        elif before == top and after != top:
+            self._res_at_max -= 1
+            if not self._res_at_max:
+                self._rescan_resource()
+
     def _shift(self, position: int, to: int) -> None:
         csr = self._csr
         cluster = self._cluster
@@ -372,18 +647,12 @@ class MoveEvaluator:
                 f"cluster {to}; de-replicate before moving its home there"
             )
 
-        kind = csr.fu_ord[position]
-        self._load[source][kind] -= 1
-        self._load[to][kind] += 1
-        self._totals[source] -= 1
-        self._totals[to] += 1
-        if not csr.is_store[position]:
-            self._producers[source] -= 1
-            self._producers[to] += 1
+        self._count_instance(position, source, -1)
+        self._count_instance(position, to, 1)
 
         own_adjacency_delta = 0
         own_out_delta = 0
-        for consumer in csr.reg_out_neighbours(position):
+        for consumer in self._reg_out[position]:
             if consumer == position:
                 continue  # self loops move with the node
             neighbour_cluster = cluster[consumer]
@@ -392,7 +661,7 @@ class MoveEvaluator:
                 own_out_delta += delta
                 own_adjacency_delta += delta
                 self._bump_adjacency(consumer, delta)
-        for producer in csr.reg_in_neighbours(position):
+        for producer in self._reg_in[position]:
             if producer == position:
                 continue
             neighbour_cluster = cluster[producer]
@@ -467,7 +736,7 @@ class MoveEvaluator:
         self._n_coms_replica = 0
         for position in range(n):
             counts: dict[int, int] = {}
-            for consumer in csr.reg_out_neighbours(position):
+            for consumer in self._reg_out[position]:
                 consumer_cluster = cluster[consumer]
                 counts[consumer_cluster] = counts.get(consumer_cluster, 0) + 1
             self._consumer_count.append(counts)
@@ -501,8 +770,7 @@ class MoveEvaluator:
 
     def _presence_moved(self, position: int, source: int, to: int) -> None:
         """Replica-table follow-up to a home move ``source -> to``."""
-        csr = self._csr
-        parents = csr.reg_in_neighbours(position)
+        parents = self._reg_in[position]
         for producer in parents:
             counts = self._consumer_count[producer]
             counts[source] = counts.get(source, 0) - 1
@@ -513,14 +781,10 @@ class MoveEvaluator:
             self._recount_uncovered(uid_position)
 
     def _grow_replica(self, position: int, cluster: int) -> None:
-        csr = self._csr
         self._extra[position].add(cluster)
-        kind = csr.fu_ord[position]
-        self._load[cluster][kind] += 1
-        self._totals[cluster] += 1
-        if not csr.is_store[position]:
-            self._producers[cluster] += 1
-        parents = csr.reg_in_neighbours(position)
+        self._frozen_extra = None
+        self._count_instance(position, cluster, 1)
+        parents = self._reg_in[position]
         for producer in parents:
             counts = self._consumer_count[producer]
             counts[cluster] = counts.get(cluster, 0) + 1
@@ -530,14 +794,10 @@ class MoveEvaluator:
             self._recount_uncovered(uid_position)
 
     def _shrink_replica(self, position: int, cluster: int) -> None:
-        csr = self._csr
         self._extra[position].discard(cluster)
-        kind = csr.fu_ord[position]
-        self._load[cluster][kind] -= 1
-        self._totals[cluster] -= 1
-        if not csr.is_store[position]:
-            self._producers[cluster] -= 1
-        parents = csr.reg_in_neighbours(position)
+        self._frozen_extra = None
+        self._count_instance(position, cluster, -1)
+        parents = self._reg_in[position]
         for producer in parents:
             self._consumer_count[producer][cluster] -= 1
         affected = {position}
@@ -560,68 +820,59 @@ class MoveEvaluator:
             return self._n_coms_replica
         return self._n_coms
 
-    def _min_resource_ii(self) -> int:
-        ii = 1
-        for cluster_loads, cluster_units in zip(self._load, self._units):
-            for count, units in zip(cluster_loads, cluster_units):
-                if count:
-                    bound = -(-count // units)
-                    if bound > ii:
-                        ii = bound
-        return ii
-
-    def _register_floor_broken(self) -> bool:
-        return any(
-            producers > registers
-            for producers, registers in zip(self._producers, self._registers)
-        )
-
     def prefix(self) -> tuple[bool, int, int]:
         """The cheap key prefix (capacity violation, II estimate, coms).
 
-        O(clusters · kinds); never touches the relaxation kernel.
+        O(clusters); never touches the relaxation kernel.
         """
-        ii_res = self._min_resource_ii()
-        coms = self.nof_coms()
+        return self._key(
+            max(self._res_max, 1), self._over_registers > 0, self.nof_coms()
+        )
+
+    def _key(
+        self, ii_res: int, floor_broken: bool, coms: int
+    ) -> tuple[bool, int, int]:
         if self._bus_count:
-            ii_bus = (
-                self._bus_latency * math.ceil(coms / self._bus_count)
-                if coms
-                else 1
-            )
+            ii_bus = self._bus_latency * -(-coms // self._bus_count) if coms else 1
             stranded_coms = False
         else:
             ii_bus = 1
             stranded_coms = coms > 0
         ii_estimate = max(self._ii, ii_res, ii_bus)
-        violation = (
-            ii_res > self._ii or self._register_floor_broken() or stranded_coms
-        )
+        violation = ii_res > self._ii or floor_broken or stranded_coms
         return (violation, ii_estimate, coms)
 
     def imbalance(self) -> int:
         """Max minus min total load over clusters."""
         return (max(self._totals) - min(self._totals)) if self._totals else 0
 
-    def length(self) -> int:
+    def length(self, ii_estimate: int | None = None) -> int:
         """Bus-penalized critical path at the current II estimate.
 
         The expensive O(V·E) part of the score; callers should only ask
         when the cheap prefix ties (:func:`repro.partition.refine.refine`
         does, and the skip rate lands in :class:`EvaluatorStats`).
+        ``ii_estimate`` defaults to :meth:`prefix`'s.
         """
         if self._csr.n_nodes == 0:
             self._stats.lengths_computed += 1
             return 0
-        ii_estimate = self.prefix()[1]
+        if ii_estimate is None:
+            ii_estimate = self.prefix()[1]
         if self._extra is None:
-            key: tuple = (ii_estimate, tuple(self._cluster))
-        else:
-            key = (
-                ii_estimate,
-                tuple(self._cluster),
-                tuple(frozenset(clusters) for clusters in self._extra),
-            )
+            return self._length((ii_estimate, tuple(self._cluster)))
+        return self._length((ii_estimate, tuple(self._cluster), self._replica_key()))
+
+    def _replica_key(self) -> tuple[frozenset[int], ...]:
+        """The replicas part of the memo key, rebuilt only after a
+        replica is granted or withdrawn."""
+        if self._frozen_extra is None:
+            self._frozen_extra = tuple(map(frozenset, self._extra))
+        return self._frozen_extra
+
+    def _length(self, key: tuple) -> int:
+        """Memoized length of the current state under its memo ``key``."""
+        ii_estimate = key[0]
         cached = self._length_memo.get(key)
         if cached is not None:
             self._stats.lengths_memoized += 1

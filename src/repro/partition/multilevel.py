@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.ddg.analysis import analyze, rec_mii
+from repro.ddg.csr import FU_KINDS, csr_view
 from repro.ddg.graph import Ddg
 from repro.machine.config import MachineConfig
 from repro.machine.resources import FuKind
@@ -19,7 +20,7 @@ from repro.obs.spans import span as obs_span
 from repro.partition.coarsen import CoarseLevel, coarsen
 from repro.partition.incremental import EvaluatorStats
 from repro.partition.partition import Partition
-from repro.partition.refine import refine, refine_replicating
+from repro.partition.refine import refine
 from repro.partition.weights import edge_weights
 
 
@@ -58,27 +59,6 @@ def _assign_macro_nodes(
     return assignment
 
 
-def _attachment(ddg: Ddg, partition: Partition, uid: int, cluster: int) -> int:
-    """Register neighbours of ``uid`` placed in ``cluster``."""
-    count = 0
-    for edge in ddg.out_edges(uid):
-        if partition.cluster_of(edge.dst) == cluster and edge.dst != uid:
-            count += 1
-    for edge in ddg.in_edges(uid):
-        if partition.cluster_of(edge.src) == cluster and edge.src != uid:
-            count += 1
-    return count
-
-
-def _producer_counts(partition: Partition) -> list[int]:
-    """Value-producing nodes per cluster (stores produce no value)."""
-    counts = [0] * partition.n_clusters
-    for uid, cluster in partition.assignment().items():
-        if not partition.ddg.node(uid).is_store:
-            counts[cluster] += 1
-    return counts
-
-
 def _repair_capacity(
     partition: Partition, machine: MachineConfig, ii: int
 ) -> Partition:
@@ -90,79 +70,109 @@ def _repair_capacity(
     increase can ever make MaxLive fit (each live value costs at least
     one register), so the partition itself must redistribute.
 
+    Each step fixes the first overflowing (cluster, kind), kinds in
+    ``FU_KINDS`` order, before any register overflow: the offending
+    cluster's least-attached eligible node (fewest edges to nodes in
+    its cluster, ties to the lower uid) moves to the cluster with the
+    most spare capacity (ties to the lower cluster id). Runs on dense
+    int tables over the graph's :class:`~repro.ddg.csr.CsrView`,
+    updated once per move.
+
     Best effort: when the whole machine is saturated the overflow is
     unavoidable and the loop exits (the driver will raise the II or
     give up).
     """
     ddg = partition.ddg
+    csr = csr_view(ddg)
+    fu_ord, is_store, uids = csr.fu_ord, csr.is_store, csr.uids
+    clusters = machine.cluster_ids()
+    capacity = [[machine.fu_count(c, kind) * ii for kind in FU_KINDS] for c in clusters]
+    registers = [machine.registers(c) for c in clusters]
+    cluster = [partition.cluster_of(uid) for uid in uids]
+    load = [[0] * len(FU_KINDS) for _ in clusters]
+    producers = [0] * len(clusters)
+    for position, home in enumerate(cluster):
+        load[home][fu_ord[position]] += 1
+        if not is_store[position]:
+            producers[home] += 1
 
-    def fu_overflow() -> tuple[int, FuKind] | None:
-        for cluster, loads in enumerate(partition.load_table()):
-            for kind, count in loads.items():
-                if count > machine.fu_count(cluster, kind) * ii:
-                    return cluster, kind
-        return None
+    # Every edge's other endpoint, per node, self loops excluded: a
+    # node's attachment to a cluster is how many of these sit there.
+    neighbours: list[list[int]] = [[] for _ in uids]
+    for src, dst in zip(csr.edge_src, csr.edge_dst):
+        if src != dst:
+            neighbours[src].append(dst)
+            neighbours[dst].append(src)
 
-    def register_overflow() -> int | None:
-        for cluster, producers in enumerate(_producer_counts(partition)):
-            if producers > machine.registers(cluster):
-                return cluster
-        return None
-
-    def move_from(cluster: int, kind: FuKind | None, spare_of) -> Partition | None:
-        spare, target = max(
-            (spare_of(c), -c) for c in machine.cluster_ids() if c != cluster
+    moved = False
+    for _ in range(2 * len(ddg)):
+        overflow = next(
+            (
+                (c, kind)
+                for c in clusters
+                for kind in range(len(FU_KINDS))
+                if load[c][kind] > capacity[c][kind]
+            ),
+            None,
+        )
+        if overflow is not None:
+            source, kind = overflow
+            spare = [capacity[c][kind] - load[c][kind] for c in clusters]
+            movers = [
+                p
+                for p, home in enumerate(cluster)
+                if home == source and fu_ord[p] == kind
+            ]
+        else:
+            source = next(
+                (c for c in clusters if producers[c] > registers[c]), None
+            )
+            if source is None:
+                break
+            spare = [registers[c] - producers[c] for c in clusters]
+            movers = [
+                p
+                for p, home in enumerate(cluster)
+                if home == source and not is_store[p]
+            ]
+        best_spare, target = max((spare[c], -c) for c in clusters if c != source)
+        if best_spare <= 0 or not movers:
+            break
+        mover = min(
+            movers,
+            key=lambda p: (
+                sum(1 for q in neighbours[p] if cluster[q] == source),
+                uids[p],
+            ),
         )
         target = -target
-        if spare <= 0:
-            return None
-        movers = [
-            uid
-            for uid in partition.nodes_in(cluster)
-            if (kind is None and not ddg.node(uid).is_store)
-            or ddg.node(uid).fu_kind is kind
-        ]
-        if not movers:
-            return None
-        best = min(
-            movers,
-            key=lambda uid: (_attachment(ddg, partition, uid, cluster), uid),
-        )
-        return partition.with_move(best, target)
+        cluster[mover] = target
+        load[source][fu_ord[mover]] -= 1
+        load[target][fu_ord[mover]] += 1
+        if not is_store[mover]:
+            producers[source] -= 1
+            producers[target] += 1
+        moved = True
 
-    for _ in range(2 * len(ddg)):
-        overflow = fu_overflow()
-        if overflow is not None:
-            cluster, kind = overflow
-            table = partition.load_table()
-            moved = move_from(
-                cluster,
-                kind,
-                lambda c: machine.fu_count(c, kind) * ii - table[c][kind],
-            )
-            if moved is None:
-                return partition
-            partition = moved
-            continue
-        reg_cluster = register_overflow()
-        if reg_cluster is None:
-            return partition
-        producers = _producer_counts(partition)
-        moved = move_from(
-            reg_cluster, None, lambda c: machine.registers(c) - producers[c]
-        )
-        if moved is None:
-            return partition
-        partition = moved
-    return partition
+    if not moved:
+        return partition
+    index = csr.index
+    return Partition(
+        ddg,
+        {uid: cluster[index[uid]] for uid in partition.assignment()},
+        partition.n_clusters,
+    )
 
 
 @dataclasses.dataclass
 class MultilevelPartitioner:
     """Stateful partitioner for one loop on one machine.
 
-    Keeps the coarsening hierarchy so repeated refinement calls (on II
-    bumps) and the section 5.2 experiments can reuse it.
+    Keeps everything that does not depend on the II — the coarsening
+    hierarchy, the macro-node assignment and the length memo — so
+    repeated refinement calls (on II bumps) and the section 5.2
+    experiments reuse it. A partitioner lives for one compile, so its
+    memo dies with the job.
 
     Attributes:
         ddg: the loop being partitioned.
@@ -171,12 +181,20 @@ class MultilevelPartitioner:
         stats: evaluator effort counters accumulated over every
             refinement this partitioner runs (all II bumps included);
             the pipeline copies them into the compile diagnostics.
+        macro_assignment: the preliminary node -> cluster map from the
+            coarsest level, computed with ``levels``.
+        length_memo: the (II estimate, assignment[, replicas]) ->
+            penalized length memo shared by every refinement call.
     """
 
     ddg: Ddg
     machine: MachineConfig
     levels: list[CoarseLevel] = dataclasses.field(default_factory=list)
     stats: EvaluatorStats = dataclasses.field(default_factory=EvaluatorStats)
+    macro_assignment: dict[int, int] = dataclasses.field(default_factory=dict)
+    length_memo: dict[tuple, int] = dataclasses.field(
+        default_factory=dict, repr=False
+    )
 
     def initial(self, ii: int) -> Partition:
         """Coarsen (cached) and produce the preliminary partition."""
@@ -187,8 +205,10 @@ class MultilevelPartitioner:
                 weights = edge_weights(self.ddg, analysis, self.machine.bus.latency)
                 self.levels = coarsen(self.ddg, weights, self.machine.n_clusters)
                 sp.set(levels=len(self.levels))
-        assignment = _assign_macro_nodes(self.ddg, self.levels[-1], self.machine)
-        return Partition(self.ddg, assignment, self.machine.n_clusters)
+            self.macro_assignment = _assign_macro_nodes(
+                self.ddg, self.levels[-1], self.machine
+            )
+        return Partition(self.ddg, self.macro_assignment, self.machine.n_clusters)
 
     def partition(self, ii: int, move_budget: int = 64) -> Partition:
         """Initial partition, capacity repair, then refinement.
@@ -207,7 +227,15 @@ class MultilevelPartitioner:
         with obs_span("partition.repair", ii=ii):
             repaired = _repair_capacity(initial, self.machine, ii)
         with obs_span("partition.refine", ii=ii, budget=move_budget):
-            return refine(repaired, self.machine, ii, move_budget, stats=self.stats)
+            partition, _ = refine(
+                repaired,
+                self.machine,
+                ii,
+                move_budget,
+                stats=self.stats,
+                length_memo=self.length_memo,
+            )
+            return partition
 
     def partition_replicating(
         self, ii: int, move_budget: int = 64, replication_budget: int = 8
@@ -215,8 +243,8 @@ class MultilevelPartitioner:
         """Like :meth:`partition`, with replicate moves enabled.
 
         Coarsening and capacity repair are shared with :meth:`partition`;
-        only the refinement differs
-        (:func:`~repro.partition.refine.refine_replicating`). Returns the
+        only the refinement's replication budget differs
+        (:func:`~repro.partition.refine.refine`). Returns the
         refined partition plus the ``{uid: frozenset(clusters)}`` replica
         grants for the post-pass replicator to treat as already granted.
         An unclustered machine has nowhere to replicate into, so it gets
@@ -231,13 +259,14 @@ class MultilevelPartitioner:
         with obs_span(
             "partition.refine", ii=ii, budget=move_budget, replicating=True
         ):
-            return refine_replicating(
+            return refine(
                 repaired,
                 self.machine,
                 ii,
                 move_budget,
                 replication_budget=replication_budget,
                 stats=self.stats,
+                length_memo=self.length_memo,
             )
 
 

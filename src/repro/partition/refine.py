@@ -8,16 +8,20 @@ stops at a local optimum or when the move budget runs out.
 
 Move candidates are restricted to *boundary* nodes — nodes with at least
 one register neighbour in another cluster — because interior moves can
-only create communications, never remove them.
+only create communications, never remove them. With a replication
+budget, "replicate this producer into a consumer cluster" is a
+first-class move too (Papp et al.), tried only once no plain move
+improves the incumbent.
 
-Candidates are scored through :class:`~repro.partition.incremental.MoveEvaluator`:
-each trial move is an O(degree) state update instead of a partition copy
-plus a from-scratch pseudo-schedule, and the expensive critical-path
-length is only relaxed when the cheap lexicographic prefix (capacity,
-II estimate, communications) ties the incumbent — a comparison that is
-decision-equivalent to ordering the full
-:attr:`~repro.partition.pseudo.PseudoSchedule.key`, because the first
-differing component decides a lexicographic order.
+Candidates are scored read-only through
+:class:`~repro.partition.incremental.MoveEvaluator`: a trial returns the
+cheap lexicographic prefix (capacity, II estimate, communications) and
+the imbalance the move would produce without touching the evaluator,
+and the expensive critical-path length is only relaxed when that prefix
+ties the incumbent — a comparison that is decision-equivalent to
+ordering the full :attr:`~repro.partition.pseudo.PseudoSchedule.key`,
+because the first differing component decides a lexicographic order.
+Only an accepted move is applied to the evaluator.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import time
 
 from repro.machine.config import MachineConfig
-from repro.partition.incremental import EvaluatorStats, MoveEvaluator
+from repro.partition.incremental import EvaluatorStats, MoveEvaluator, ReplicateMove
 from repro.partition.partition import Partition
 
 #: Upper bound on accepted moves per refinement call, to bound runtime
@@ -38,173 +42,77 @@ def refine(
     machine: MachineConfig,
     ii: int,
     move_budget: int = _DEFAULT_MOVE_BUDGET,
+    replication_budget: int = 0,
     stats: EvaluatorStats | None = None,
-) -> Partition:
+    length_memo: dict[tuple, int] | None = None,
+) -> tuple[Partition, dict[int, frozenset[int]]]:
     """Improve ``partition`` by single-node moves at a candidate II.
 
-    Returns a partition whose pseudo-schedule key is <= the input's;
-    the input object is never mutated (and is returned as-is when no
-    move improves it). ``stats`` accumulates evaluator effort counters
-    across calls when provided.
-    """
-    started = time.perf_counter()
-    if stats is None:
-        stats = EvaluatorStats()
-    stats.refine_calls += 1
-
-    evaluator = MoveEvaluator(partition, machine, ii, stats)
-    best_prefix = evaluator.prefix()
-    best_length: int | None = None  # relaxed lazily, on the first prefix tie
-    best_imbalance = evaluator.imbalance()
-    accepted = 0
-
-    try:
-        for _ in range(move_budget):
-            improved = False
-            for uid in evaluator.boundary():
-                for cluster in evaluator.move_targets(uid):
-                    move = evaluator.apply(uid, cluster)
-                    stats.pseudo_evaluations += 1
-                    prefix = evaluator.prefix()
-                    if prefix > best_prefix:
-                        stats.lengths_skipped += 1
-                        evaluator.undo(move)
-                        stats.plain_rejected += 1
-                        continue
-                    if prefix < best_prefix:
-                        stats.lengths_skipped += 1
-                        length: int | None = None
-                        imbalance = evaluator.imbalance()
-                    else:
-                        if best_length is None:
-                            # The incumbent's length was never needed
-                            # until now; flip the move off to measure it.
-                            evaluator.undo(move)
-                            best_length = evaluator.length()
-                            evaluator.redo(move)
-                        length = evaluator.length()
-                        imbalance = evaluator.imbalance()
-                        if (length, imbalance) >= (best_length, best_imbalance):
-                            evaluator.undo(move)
-                            stats.plain_rejected += 1
-                            continue
-                    best_prefix = prefix
-                    best_length = length
-                    best_imbalance = imbalance
-                    accepted += 1
-                    stats.moves_accepted += 1
-                    stats.plain_accepted += 1
-                    improved = True
-                    break
-                if improved:
-                    break
-            if not improved:
-                break
-    finally:
-        stats.refine_seconds += time.perf_counter() - started
-
-    return evaluator.to_partition() if accepted else partition
-
-
-#: Upper bound on replicas granted per replicating refinement call; the
-#: pipeline overrides it from ``SchemeConfig.partition_replication_budget``.
-_DEFAULT_REPLICATION_BUDGET = 8
-
-
-def refine_replicating(
-    partition: Partition,
-    machine: MachineConfig,
-    ii: int,
-    move_budget: int = _DEFAULT_MOVE_BUDGET,
-    replication_budget: int = _DEFAULT_REPLICATION_BUDGET,
-    stats: EvaluatorStats | None = None,
-) -> tuple[Partition, dict[int, frozenset[int]]]:
-    """Refinement where "replicate into a cluster" is a first-class move.
-
-    Each round first tries plain reassignments exactly like
-    :func:`refine`; only when no plain move improves the incumbent does
-    it try cloning a communicating producer into one of its consumer
-    clusters (:meth:`MoveEvaluator.apply_replicate`). Replicate moves
-    are scored with the same lazy lexicographic rule — the cheap prefix
-    (capacity, II estimate, communications) decides first, and the
-    bus-penalized length (which a replica can shorten by localising its
-    register edges) is only relaxed on prefix ties. At most
-    ``replication_budget`` replicas survive to the returned plan.
+    Each round takes the first candidate that improves the incumbent:
+    plain reassignments first, and — while fewer than
+    ``replication_budget`` replicas were granted — cloning a
+    communicating producer into one of its consumer clusters.
 
     Returns the refined partition (home assignment only — replicas are
     *not* partition nodes) plus the replica grants as a
     ``{producer uid: frozenset(clusters)}`` mapping for the post-pass
-    replicator to treat as already granted.
+    replicator to treat as already granted. Without grants the
+    partition's pseudo-schedule key is <= the input's; the input object
+    is never mutated (and is returned as-is when no move improves it).
+    ``stats`` accumulates evaluator effort counters across calls, and
+    ``length_memo`` shares relaxations across calls on the same DDG and
+    machine (see :class:`MoveEvaluator`).
     """
-    started = time.perf_counter()
+    started = time.thread_time()
     if stats is None:
         stats = EvaluatorStats()
     stats.refine_calls += 1
 
-    evaluator = MoveEvaluator(partition, machine, ii, stats)
+    evaluator = MoveEvaluator(partition, machine, ii, stats, length_memo)
     best_prefix = evaluator.prefix()
     best_length: int | None = None  # relaxed lazily, on the first prefix tie
     best_imbalance = evaluator.imbalance()
     accepted = 0
-    replicas_granted = 0
-
-    def consider(move: object) -> bool:
-        """Accept or undo one trial move under the shared lazy scoring."""
-        nonlocal best_prefix, best_length, best_imbalance
-        stats.pseudo_evaluations += 1
-        prefix = evaluator.prefix()
-        if prefix > best_prefix:
-            stats.lengths_skipped += 1
-            evaluator.undo(move)
-            return False
-        if prefix < best_prefix:
-            stats.lengths_skipped += 1
-            length: int | None = None
-            imbalance = evaluator.imbalance()
-        else:
-            if best_length is None:
-                evaluator.undo(move)
-                best_length = evaluator.length()
-                evaluator.redo(move)
-            length = evaluator.length()
-            imbalance = evaluator.imbalance()
-            if (length, imbalance) >= (best_length, best_imbalance):
-                evaluator.undo(move)
-                return False
-        best_prefix = prefix
-        best_length = length
-        best_imbalance = imbalance
-        stats.moves_accepted += 1
-        return True
+    granted = 0
 
     try:
         for _ in range(move_budget):
-            improved = False
-            for uid in evaluator.boundary():
-                for cluster in evaluator.move_targets(uid):
-                    if consider(evaluator.apply(uid, cluster)):
-                        stats.plain_accepted += 1
-                        improved = True
-                        break
-                    stats.plain_rejected += 1
-                if improved:
-                    break
-            if not improved and replicas_granted < replication_budget:
-                for uid in evaluator.replicate_candidates():
-                    for cluster in evaluator.replicate_targets(uid):
-                        if consider(evaluator.apply_replicate(uid, cluster)):
-                            stats.replicate_accepted += 1
-                            replicas_granted += 1
-                            improved = True
-                            break
+            for move in evaluator.candidate_moves(granted < replication_budget):
+                replicate = isinstance(move, ReplicateMove)
+                stats.pseudo_evaluations += 1
+                prefix, imbalance = evaluator.trial(move)
+                length: int | None = None
+                if prefix != best_prefix:
+                    stats.lengths_skipped += 1
+                    keep = prefix < best_prefix
+                else:
+                    if best_length is None:
+                        best_length = evaluator.length()
+                    length = evaluator.trial_length(move, prefix[1])
+                    keep = (length, imbalance) < (best_length, best_imbalance)
+                if not keep:
+                    if replicate:
                         stats.replicate_rejected += 1
-                    if improved:
-                        break
-            if not improved:
+                    else:
+                        stats.plain_rejected += 1
+                    continue
+                if replicate:
+                    evaluator.apply_replicate(move.uid, move.cluster)
+                    stats.replicate_accepted += 1
+                    granted += 1
+                else:
+                    evaluator.apply(move.uid, move.dst_cluster)
+                    stats.plain_accepted += 1
+                stats.moves_accepted += 1
+                best_prefix = prefix
+                best_length = length
+                best_imbalance = imbalance
+                accepted += 1
                 break
-            accepted += 1
+            else:
+                break
     finally:
-        stats.refine_seconds += time.perf_counter() - started
+        stats.refine_seconds += time.thread_time() - started
 
     grants = evaluator.replicas()
     stats.replicas_surviving = sum(len(clusters) for clusters in grants.values())

@@ -3,8 +3,8 @@
 The paper replicates only *after* partitioning has frozen cluster
 assignments. This scheme instead lets the partitioner treat "replicate
 this producer into a consumer cluster" as a first-class refinement move
-(:func:`repro.partition.refine.refine_replicating`), bounded by
-``SchemeConfig.partition_replication_budget``; the replicas it grants
+(:func:`repro.partition.refine.refine` with a replication budget), bounded
+by ``SchemeConfig.partition_replication_budget``; the replicas it grants
 ride the :class:`~repro.pipeline.passes.CompilationContext` to the
 standard section 3 planning pass, which folds them in as already
 granted and only tops up whatever communications remain.

@@ -28,6 +28,11 @@ span continues the caller's trace, so a client-side span, the server's
 request handling, and the shipped worker spans stitch into one trace.
 Request latency, per-status counts and in-flight depth are recorded
 under the ``serve.http`` metrics scope whether or not tracing is on.
+Requests refused before routing — a malformed request line (400), more
+than ``MAX_HEADER_LINES`` header lines (431), a request head still
+incomplete ``HEAD_TIMEOUT_SECONDS`` after the connection opened (408),
+a bad ``Content-Length`` (400) or an oversized body (413) — count in
+the same ``requests`` and ``status.<code>`` counters.
 
 Clients identify themselves with the ``X-Repro-Client`` header (used
 for per-client in-flight caps); anonymous requests share one bucket.
@@ -57,6 +62,13 @@ _log = get_logger("serve")
 #: Largest accepted request body (a wire-format DDG is a few KiB).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Most header lines one request may carry; more is answered 431.
+MAX_HEADER_LINES = 100
+
+#: One deadline for the whole request head (request line and headers);
+#: a client still sending its head when it passes is answered 408.
+HEAD_TIMEOUT_SECONDS = 10.0
+
 #: Client-identity header for per-client admission accounting.
 CLIENT_HEADER = "x-repro-client"
 
@@ -66,8 +78,10 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -193,30 +207,26 @@ class ServeServer:
     async def _handle_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        if not request_line:
+        try:
+            head = await asyncio.wait_for(_read_head(reader), HEAD_TIMEOUT_SECONDS)
+        except asyncio.TimeoutError:
+            await self._reject(writer, 408, "request head timed out")
             return
-        parts = request_line.split()
-        if len(parts) != 3:
-            await _respond(writer, 400, {"error": "malformed request line"})
+        except _Refused as refused:
+            await self._reject(writer, refused.status, str(refused))
             return
-        method, path, _version = parts
-        headers: dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
-                break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
+        if head is None:
+            return  # closed before sending a request line
+        method, path, headers = head
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
             length = -1
         if length < 0:
-            await _respond(writer, 400, {"error": "bad content-length"})
+            await self._reject(writer, 400, "bad content-length")
             return
         if length > MAX_BODY_BYTES:
-            await _respond(writer, 413, {"error": "body too large"})
+            await self._reject(writer, 413, "body too large")
             return
         body = await reader.readexactly(length) if length else b""
         client = headers.get(CLIENT_HEADER, "")
@@ -237,6 +247,15 @@ class ServeServer:
             self._http.histogram("request_seconds").observe(
                 time.perf_counter() - started
             )
+
+    async def _reject(
+        self, writer: asyncio.StreamWriter, status: int, error: str
+    ) -> None:
+        """Answer a request refused before routing, counting it like any
+        routed request."""
+        self._http.counter("requests").inc()
+        self._http.counter(f"status.{status}").inc()
+        await _respond(writer, status, {"error": error})
 
     async def _route(
         self,
@@ -368,6 +387,45 @@ class ServeServer:
                 for name, record in sorted(self.manager.metrics.export().items())
             },
         }
+
+
+class _Refused(Exception):
+    """A request head answered with an error ``status``."""
+
+    def __init__(self, status: int, error: str) -> None:
+        super().__init__(error)
+        self.status = status
+
+
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, dict[str, str]] | None:
+    """Read the request line and headers.
+
+    Returns ``(method, path, headers)``, or None when the client closed
+    before a request line.
+
+    Raises:
+        _Refused: a malformed request line or too many header lines.
+    """
+    request_line = (await reader.readline()).decode("latin-1").strip()
+    if not request_line:
+        return None
+    parts = request_line.split()
+    if len(parts) != 3:
+        raise _Refused(400, "malformed request line")
+    method, path, _version = parts
+    headers: dict[str, str] = {}
+    lines = 0
+    while True:
+        line = (await reader.readline()).decode("latin-1")
+        if line in ("\r\n", "\n", ""):
+            return method, path, headers
+        lines += 1
+        if lines > MAX_HEADER_LINES:
+            raise _Refused(431, "too many header lines")
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
 
 
 async def _respond_text(

@@ -72,6 +72,23 @@ class TestHistogram:
             exact = ordered[max(1, math.ceil(q * len(ordered))) - 1]
             assert exact <= h.quantile(q) <= max(sample)
 
+        # All in one bucket, above its lower bound: every quantile stays
+        # inside the observed [min, max], through the wire form too.
+        lower, upper = h.bounds[3], h.bounds[4]
+        sample = [rng.uniform(lower + 0.5 * (upper - lower), upper) for _ in range(50)]
+        h = Histogram("t")
+        for value in sample:
+            h.observe(value)
+        assert h.counts[4] == len(sample)
+        assert (h.min, h.max) == (min(sample), max(sample))
+        wired = Histogram.from_wire(h.to_wire())
+        ordered = sorted(sample)
+        for step in range(101):
+            q = step / 100
+            exact = ordered[max(1, math.ceil(q * len(ordered))) - 1]
+            assert min(sample) <= exact <= h.quantile(q) <= max(sample)
+            assert wired.quantile(q) == h.quantile(q)
+
     def test_quantile_edge_cases(self):
         h = Histogram("t")
         assert h.quantile(0.5) == 0.0
@@ -85,6 +102,19 @@ class TestHistogram:
         b = Histogram("t", bounds=(0.1, 1.0))
         with pytest.raises(ValueError):
             a.merge(b)
+
+    def test_merge_carries_the_min(self):
+        a, b, empty = Histogram("t"), Histogram("t"), Histogram("t")
+        a.observe(2e-2)
+        b.observe(3e-5)
+        b.observe(4e-2)
+        empty.merge(a)
+        assert (empty.min, empty.max) == (2e-2, 2e-2)
+        a.merge(b)
+        assert (a.min, a.max) == (3e-5, 4e-2)
+        a.merge(Histogram("t"))
+        assert a.min == 3e-5
+        assert Histogram.from_wire(a.to_wire()).min == 3e-5
 
     def test_merge_folds_counts(self):
         a, b = Histogram("t"), Histogram("t")

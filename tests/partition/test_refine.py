@@ -36,7 +36,7 @@ class TestRefine:
             two_chains,
             {"c0_0": 0, "c0_1": 1, "c0_2": 0, "c1_0": 1, "c1_1": 1, "c1_2": 1},
         )
-        refined = refine(stray, m2, ii=3)
+        refined, _ = refine(stray, m2, ii=3)
         assert refined.nof_coms() == 0
 
     def test_never_worsens_the_metric(self, two_chains, m2):
@@ -44,7 +44,7 @@ class TestRefine:
             two_chains,
             {"c0_0": 0, "c0_1": 1, "c0_2": 0, "c1_0": 1, "c1_1": 0, "c1_2": 1},
         )
-        refined = refine(start, m2, ii=3)
+        refined, _ = refine(start, m2, ii=3)
         assert (
             pseudo_schedule(refined, m2, 3).key
             <= pseudo_schedule(start, m2, 3).key
@@ -64,7 +64,7 @@ class TestRefine:
             two_chains,
             {"c0_0": 0, "c0_1": 0, "c0_2": 0, "c1_0": 1, "c1_1": 1, "c1_2": 1},
         )
-        refined = refine(clean, m2, ii=3)
+        refined, _ = refine(clean, m2, ii=3)
         assert refined.assignment() == clean.assignment()
 
     def test_move_budget_bounds_work(self, two_chains, m2):
@@ -72,5 +72,5 @@ class TestRefine:
             two_chains,
             {"c0_0": 0, "c0_1": 1, "c0_2": 0, "c1_0": 1, "c1_1": 0, "c1_2": 1},
         )
-        refined = refine(start, m2, ii=3, move_budget=0)
+        refined, _ = refine(start, m2, ii=3, move_budget=0)
         assert refined.assignment() == start.assignment()

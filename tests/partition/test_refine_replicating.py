@@ -1,4 +1,4 @@
-"""Tests for refinement with replicate moves enabled."""
+"""Tests for refinement with replicate moves enabled (a replication budget)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.partition.incremental import EvaluatorStats
 from repro.partition.multilevel import MultilevelPartitioner
 from repro.partition.partition import Partition
 from repro.partition.pseudo import pseudo_schedule
-from repro.partition.refine import refine, refine_replicating
+from repro.partition.refine import refine
 from repro.workloads.generator import LoopSpec, generate_loop
 
 
@@ -29,7 +29,7 @@ class TestRefineReplicating:
         key is only guaranteed to improve when no replicas survive."""
         for seed in range(5):
             _, machine, partition = _case(seed)
-            refined, grants = refine_replicating(partition, machine, 2)
+            refined, grants = refine(partition, machine, 2, replication_budget=8)
             if not grants:
                 before = pseudo_schedule(partition, machine, 2)
                 after = pseudo_schedule(refined, machine, 2)
@@ -39,7 +39,7 @@ class TestRefineReplicating:
         for budget in (0, 1, 3):
             _, machine, partition = _case(1)
             stats = EvaluatorStats()
-            _, grants = refine_replicating(
+            _, grants = refine(
                 partition, machine, 2, replication_budget=budget, stats=stats
             )
             surviving = sum(len(clusters) for clusters in grants.values())
@@ -48,20 +48,26 @@ class TestRefineReplicating:
             assert stats.replicate_accepted <= budget
 
     def test_zero_budget_matches_plain_refine(self):
-        """With no replication budget the move stream is exactly
-        ``refine``'s: same accepted moves, same final assignment."""
+        """With no replication budget the replicating entry point runs
+        exactly the plain move stream: same counters, same assignment."""
         for seed in range(4):
-            _, machine, partition = _case(seed)
-            plain = refine(partition, machine, 2)
-            replicating, grants = refine_replicating(
-                partition, machine, 2, replication_budget=0
+            ddg, machine, _ = _case(seed)
+            plain = MultilevelPartitioner(ddg=ddg, machine=machine)
+            replicating = MultilevelPartitioner(ddg=ddg, machine=machine)
+            expected = plain.partition(2)
+            partition, grants = replicating.partition_replicating(
+                2, replication_budget=0
             )
             assert grants == {}
-            assert replicating.assignment() == plain.assignment()
+            assert partition.assignment() == expected.assignment()
+            counters = replicating.stats.as_counters()
+            expected_counters = plain.stats.as_counters()
+            del counters["refine_seconds"], expected_counters["refine_seconds"]
+            assert counters == expected_counters
 
     def test_grants_are_frozen_cluster_sets(self):
         _, machine, partition = _case(2)
-        _, grants = refine_replicating(partition, machine, 2)
+        _, grants = refine(partition, machine, 2, replication_budget=8)
         for uid, clusters in grants.items():
             assert isinstance(clusters, frozenset)
             assert partition.cluster_of(uid) not in clusters
@@ -69,7 +75,7 @@ class TestRefineReplicating:
     def test_counters_split_by_kind(self):
         _, machine, partition = _case(3)
         stats = EvaluatorStats()
-        refine_replicating(partition, machine, 2, stats=stats)
+        refine(partition, machine, 2, replication_budget=8, stats=stats)
         assert (
             stats.plain_accepted + stats.replicate_accepted
             == stats.moves_accepted

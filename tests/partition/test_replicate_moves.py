@@ -57,7 +57,7 @@ class TestReplicateMechanics:
         evaluator.undo(move)
         assert evaluator.pseudo() == reference
         assert not evaluator.has_replicas
-        evaluator.redo(move)
+        move = evaluator.apply_replicate(uid, target)
         assert evaluator.pseudo() == replicated
         evaluator.undo(move)
         assert evaluator.replicas() == {}
@@ -116,15 +116,23 @@ class TestReplicateMechanics:
         assert evaluator.pseudo() == reference
 
     def test_move_kind_counters(self):
+        """Per-kind counters count trials; ``moves_applied`` counts state
+        updates."""
         evaluator, _, stats = _evaluator()
         uid, target = _first_candidate(evaluator)
+        evaluator.trial(ReplicateMove(uid, target))
         evaluator.apply_replicate(uid, target)
         plain_uid = next(
             u for u in evaluator.boundary() if evaluator.move_targets(u)
         )
-        evaluator.apply(plain_uid, evaluator.move_targets(plain_uid)[0])
+        source = evaluator.to_partition().cluster_of(plain_uid)
+        plain_target = evaluator.move_targets(plain_uid)[0]
+        evaluator.trial(ReassignMove(plain_uid, source, plain_target))
+        assert stats.moves_applied == 1
+        evaluator.apply(plain_uid, plain_target)
         assert stats.replicate_moves == 1
         assert stats.plain_moves == 1
+        assert stats.moves_applied == 2
         counters = stats.as_counters()
         assert counters["moves.plain"] == 1
         assert counters["moves.replicate"] == 1

@@ -4,7 +4,10 @@ Drives long random move sequences over generated SPECfp-like loops and
 checks, after *every* apply and undo, that the
 :class:`~repro.partition.incremental.MoveEvaluator`'s maintained state
 reproduces ``pseudo_schedule`` on a freshly materialized partition —
-the invariant the refinement rewrite rests on. Plain ``random.Random``
+the invariant the refinement rewrite rests on. At every step it also
+scores every candidate move refinement could try, read-only, and checks
+each trial against actually applying the move, scoring and undoing it,
+and that the trial left the evaluator untouched. Plain ``random.Random``
 seeding keeps the walk deterministic without widening the test deps.
 """
 
@@ -17,7 +20,11 @@ import pytest
 
 from repro.ddg.graph import Ddg, EdgeKind
 from repro.machine.config import MachineConfig, parse_config
-from repro.partition.incremental import MoveEvaluator
+from repro.partition.incremental import (
+    MoveEvaluator,
+    ReassignMove,
+    ReplicateMove,
+)
 from repro.partition.partition import Partition
 from repro.partition.pseudo import PseudoSchedule, pseudo_schedule
 from repro.workloads.generator import LoopSpec, generate_loop
@@ -29,6 +36,7 @@ CASES = [
     (2, "4c1b2l64r", 2),
     (3, "4c2b4l64r", 3),
     (4, "4c1b2l64r", 4),
+    (5, "2c1b2l10r", 8),  # the register floor, not resources, decides
 ]
 
 MOVES_PER_CASE = 300  # x4 cases x ~1.5 checks/move >= 1000 comparisons
@@ -54,6 +62,48 @@ def check_state(evaluator: MoveEvaluator, machine, ii) -> None:
     assert evaluator.boundary() == scan_boundary(partition)
 
 
+def candidate_moves(evaluator: MoveEvaluator, replicate: bool) -> list:
+    """Every move refinement could try from the current state."""
+    partition = evaluator.to_partition()
+    moves: list = [
+        ReassignMove(uid, partition.cluster_of(uid), cluster)
+        for uid in evaluator.boundary()
+        for cluster in evaluator.move_targets(uid)
+    ]
+    if replicate:
+        moves.extend(
+            ReplicateMove(uid, cluster)
+            for uid in evaluator.replicate_candidates()
+            for cluster in evaluator.replicate_targets(uid)
+        )
+    return moves
+
+
+def check_trials(evaluator: MoveEvaluator, replicate: bool = False) -> None:
+    """The evaluator enumerates every candidate in scan order, and each
+    read-only trial equals apply -> score -> undo and leaves every
+    observable as it was."""
+    pseudo = evaluator.pseudo()
+    boundary = evaluator.boundary()
+    replicas = evaluator.replicas()
+    moves = candidate_moves(evaluator, replicate)
+    assert list(evaluator.candidate_moves(replicate)) == moves
+    for move in moves:
+        prefix, imbalance = evaluator.trial(move)
+        length = evaluator.trial_length(move, prefix[1])
+        assert evaluator.pseudo() == pseudo
+        assert evaluator.boundary() == boundary
+        assert evaluator.replicas() == replicas
+
+        if isinstance(move, ReplicateMove):
+            applied = evaluator.apply_replicate(move.uid, move.cluster)
+        else:
+            applied = evaluator.apply(move.uid, move.dst_cluster)
+        assert (prefix, imbalance) == (evaluator.prefix(), evaluator.imbalance())
+        assert length == evaluator.length()
+        evaluator.undo(applied)
+
+
 @pytest.mark.parametrize("seed,machine_name,ii", CASES)
 def test_random_walk_matches_from_scratch(seed, machine_name, ii):
     rng = random.Random(seed)
@@ -77,6 +127,7 @@ def test_random_walk_matches_from_scratch(seed, machine_name, ii):
             target = rng.randrange(machine.n_clusters)
             undo_stack.append(evaluator.apply(uid, target))
         check_state(evaluator, machine, ii)
+        check_trials(evaluator)
 
     while undo_stack:
         evaluator.undo(undo_stack.pop())
@@ -245,6 +296,7 @@ def test_mixed_walk_matches_from_scratch(seed, machine_name, ii):
                 evaluator.apply_replicate(uid, rng.choice(targets))
             )
         check()
+        check_trials(evaluator, replicate=True)
 
     while undo_stack:
         evaluator.undo(undo_stack.pop())

@@ -2,7 +2,9 @@
 
 import http.client
 import json
+import select
 import socket
+import time
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.engine.jobs import CompileJob
 from repro.machine.config import parse_config
 from repro.pipeline.driver import Scheme, compile_loop
 from repro.serve.client import ServeClient, ServeError
+from repro.serve import server as serve_server
 from repro.serve.cluster import ServeCluster
 from repro.workloads.patterns import daxpy, dot_product, stencil5
 
@@ -144,6 +147,82 @@ class TestProtocolErrors:
         head, _, body = response.partition(b"\r\n\r\n")
         assert head.split(b"\r\n")[0].split()[1] == b"400"
         assert json.loads(body) == {"error": "bad content-length"}
+
+    def _head_rejection(self, cluster, chunks, pause=0.0):
+        """Send raw request-head ``chunks`` (``pause`` seconds apart, and
+        no more once the server answers), then read the whole response;
+        returns (status, body)."""
+        port = int(cluster.url.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            for chunk in chunks:
+                sock.sendall(chunk.encode("latin-1"))
+                if pause and select.select([sock], [], [], pause)[0]:
+                    break
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        return int(head.split(b"\r\n")[0].split()[1]), json.loads(body)
+
+    def _counters(self, client):
+        metrics = client.stats()["metrics"]
+        return {
+            name: entry.get("value", 0)
+            for name, entry in metrics.items()
+            if entry["type"] == "counter"
+        }
+
+    def _assert_counted(self, before, after, status):
+        name = f"serve.http.status.{status}"
+        assert after.get(name, 0) == before.get(name, 0) + 1
+        # The refused request and the /stats read that observed it.
+        requests = "serve.http.requests"
+        assert after[requests] >= before[requests] + 2
+
+    def test_malformed_request_line_is_counted_400(self, cluster, client):
+        before = self._counters(client)
+        status, body = self._head_rejection(cluster, ["NONSENSE\r\n"])
+        assert (status, body) == (400, {"error": "malformed request line"})
+        self._assert_counted(before, self._counters(client), 400)
+
+    def test_too_many_header_lines_is_431(self, cluster, client):
+        before = self._counters(client)
+        # The 101st header line is refused at once, before the blank
+        # line that would end the head is ever sent.
+        head = "GET /healthz HTTP/1.1\r\n" + "".join(
+            f"X-Filler-{i}: {i}\r\n"
+            for i in range(serve_server.MAX_HEADER_LINES + 1)
+        )
+        status, body = self._head_rejection(cluster, [head])
+        assert (status, body) == (431, {"error": "too many header lines"})
+        self._assert_counted(before, self._counters(client), 431)
+
+    def test_header_line_cap_is_inclusive(self, cluster):
+        headers = {
+            f"X-Filler-{i}": str(i)
+            for i in range(serve_server.MAX_HEADER_LINES - 3)
+        }
+        # http.client adds Host and Accept-Encoding; 100 lines in all.
+        assert self._raw(cluster, "GET", "/healthz", headers=headers)[0] == 200
+
+    def test_one_deadline_covers_the_whole_head(
+        self, cluster, client, monkeypatch
+    ):
+        """A head that trickles in — every line well inside the deadline
+        — is still cut off once the head as a whole runs past it."""
+        monkeypatch.setattr(serve_server, "HEAD_TIMEOUT_SECONDS", 0.5)
+        before = self._counters(client)
+        started = time.monotonic()
+        # A line every 0.15 s for 3 s: no single wait nears 0.5 s.
+        status, body = self._head_rejection(
+            cluster,
+            ["GET /healthz HTTP/1.1\r\n"]
+            + [f"X-Slow-{i}: {i}\r\n" for i in range(20)],
+            pause=0.15,
+        )
+        assert (status, body) == (408, {"error": "request head timed out"})
+        assert time.monotonic() - started < 2.5
+        self._assert_counted(before, self._counters(client), 408)
 
     def test_wrong_method_is_405(self, cluster):
         assert self._raw(cluster, "DELETE", "/jobs")[0] == 405
