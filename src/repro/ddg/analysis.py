@@ -21,7 +21,10 @@ computation and repeated II escalations all ask the same questions
 about the same graph, so the second ask is a dict hit. Mutating the
 graph bumps its :attr:`~repro.ddg.graph.Ddg.version` and invalidates
 the memo wholesale; :func:`analysis_memo_stats` exposes hit/miss
-counters for the engine diagnostics.
+counters for the engine diagnostics. The memo outlives a compilation,
+but its counters do not: :func:`begin_analysis_count` restarts them and
+they then count as if the memo had started empty, so a compilation's
+counters are the same whatever compiled the same graph before it.
 """
 
 from __future__ import annotations
@@ -79,8 +82,11 @@ class AnalysisMemoStats:
     """Hit/miss counters of one graph's analysis memo.
 
     The counters survive memo invalidation (a graph mutation clears
-    the cached results, not the bookkeeping), so they describe the
-    graph's whole lifetime in this process.
+    the cached results, not the bookkeeping). Since the last
+    :func:`begin_analysis_count` they count what an empty memo would
+    have seen: a result an earlier count left behind is a miss the
+    first time it is asked for, and it adds the prefills its
+    computation made.
 
     ``prefills`` counts per-(version, II) positive-cycle entries written
     as a side effect of the RecMII search and divergent analyses, so
@@ -107,12 +113,21 @@ class AnalysisMemoStats:
 class _AnalysisMemo:
     version: int
     entries: dict = dataclasses.field(default_factory=dict)
+    # Per memoized key, the positive-cycle keys its computation probed,
+    # in order: replayed into ``prefills`` when a later count reuses it.
+    probes: dict = dataclasses.field(default_factory=dict)
+    # The keys an empty memo would hold by now in the current count.
+    counted: set = dataclasses.field(default_factory=set)
     stats: AnalysisMemoStats = dataclasses.field(default_factory=AnalysisMemoStats)
 
 
 _MEMOS: "weakref.WeakKeyDictionary[Ddg, _AnalysisMemo]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+#: Memo key of the RecMII result.
+_REC_MII = ("rec_mii",)
 
 
 def _memo_for(ddg: Ddg) -> _AnalysisMemo:
@@ -123,6 +138,8 @@ def _memo_for(ddg: Ddg) -> _AnalysisMemo:
     elif memo.version != ddg.version:
         memo.version = ddg.version
         memo.entries.clear()
+        memo.probes.clear()
+        memo.counted.clear()
     return memo
 
 
@@ -131,16 +148,36 @@ def analysis_memo_stats(ddg: Ddg) -> AnalysisMemoStats:
     return _memo_for(ddg).stats
 
 
+def begin_analysis_count(ddg: Ddg) -> None:
+    """Zero ``ddg``'s memo counters and count from an empty memo on.
+
+    The memoized results stay: only the counting starts over.
+    """
+    memo = _memo_for(ddg)
+    memo.stats = AnalysisMemoStats()
+    memo.counted.clear()
+
+
+def _count_prefill(memo: _AnalysisMemo, key) -> None:
+    if key not in memo.counted:
+        memo.counted.add(key)
+        memo.stats.prefills += 1
+
+
 def _memoized(ddg: Ddg, key, compute):
     memo = _memo_for(ddg)
-    try:
+    if key in memo.counted:
+        memo.stats.hits += 1
+        return memo.entries[key]
+    memo.stats.misses += 1
+    if key in memo.entries:
         result = memo.entries[key]
-    except KeyError:
-        memo.stats.misses += 1
+        for probe in memo.probes.get(key, ()):
+            _count_prefill(memo, probe)
+    else:
         result = compute()
         memo.entries[key] = result
-        return result
-    memo.stats.hits += 1
+    memo.counted.add(key)
     return result
 
 
@@ -153,7 +190,7 @@ def rec_mii(ddg: Ddg) -> int:
     """
     if len(ddg) == 0:
         return 1
-    return _memoized(ddg, ("rec_mii",), lambda: _rec_mii_uncached(ddg))
+    return _memoized(ddg, _REC_MII, lambda: _rec_mii_uncached(ddg))
 
 
 def positive_cycle(ddg: Ddg, ii: int) -> bool:
@@ -171,7 +208,7 @@ def _probe_positive(memo: _AnalysisMemo, csr, ii: int) -> bool:
     if cached is None:
         cached = csr_mod.has_positive_cycle(csr, ii)
         memo.entries[key] = cached
-        memo.stats.prefills += 1
+    _count_prefill(memo, key)
     return cached
 
 
@@ -182,8 +219,10 @@ def _rec_mii_uncached(ddg: Ddg) -> int:
         raise DdgError("graph has a zero-distance cycle; not a valid loop DDG")
     low = 1
     memo = _memo_for(ddg)
+    probed = memo.probes[_REC_MII] = []
     while low < high:
         mid = (low + high) // 2
+        probed.append(("poscycle", mid))
         if _probe_positive(memo, csr, mid):
             low = mid + 1
         else:
@@ -328,9 +367,13 @@ def analyze(ddg: Ddg, ii: int, max_rounds: int | None = None) -> LoopAnalysis:
 def _analyze_uncached(ddg: Ddg, ii: int, max_rounds: int | None) -> LoopAnalysis:
     csr = csr_mod.csr_view(ddg)
     memo = _memo_for(ddg)
-    if memo.entries.get(("poscycle", ii)):
+    key = ("poscycle", ii)
+    if memo.entries.get(key):
         # A known positive cycle at this II: the relaxation cannot
         # converge under any round budget, so fail without walking.
+        # A full-budget walk from an empty memo would have learnt it.
+        if max_rounds is None:
+            _count_prefill(memo, key)
         raise DdgError(f"ASAP relaxation diverged: II={ii} below RecMII?")
     rounds = max_rounds if max_rounds is not None else len(ddg) + 1
     weights = csr_mod.edge_weights_at(csr, ii)
@@ -339,8 +382,8 @@ def _analyze_uncached(ddg: Ddg, ii: int, max_rounds: int | None) -> LoopAnalysis
         if max_rounds is None:
             # Full-budget divergence is exactly the positive-cycle
             # verdict; remember it for future escalation probes.
-            memo.entries[("poscycle", ii)] = True
-            memo.stats.prefills += 1
+            memo.entries[key] = True
+            _count_prefill(memo, key)
         raise DdgError(f"ASAP relaxation diverged: II={ii} below RecMII?")
 
     length = max(begin + lat for begin, lat in zip(asap, csr.latency))

@@ -26,12 +26,10 @@ store (every lookup misses, writes are dropped).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import pathlib
 import pickle
 import tempfile
-from collections.abc import Iterator
 
 from repro.engine.jobs import ENGINE_SCHEMA_VERSION
 from repro.pipeline.driver import CompileResult
@@ -153,23 +151,14 @@ class ResultCache:
         self._hits += 1
         return result
 
-    @staticmethod
-    def encode(result: CompileResult) -> bytes:
-        """Serialize a result into the on-disk envelope format."""
-        return pickle.dumps(
-            {"schema": ENGINE_SCHEMA_VERSION, "result": result},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-
     def put(self, key: str, result: CompileResult) -> None:
         """Persist a result atomically (tmp file + rename)."""
         if not self.enabled:
             return
-        if self._atomic_write(key, self.encode(result)):
-            self._writes += 1
-
-    def _atomic_write(self, key: str, raw: bytes) -> bool:
-        """Land ``raw`` at the entry path via tmp file + ``os.replace``."""
+        raw = pickle.dumps(
+            {"schema": ENGINE_SCHEMA_VERSION, "result": result},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         path = self.path_for(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -189,53 +178,8 @@ class ResultCache:
         except OSError:
             # A read-only or full disk degrades to "no cache", silently:
             # compilation results are always recomputable.
-            return False
-        return True
-
-    # -- byte-level entry access (replication / anti-entropy) -----------
-
-    def keys(self) -> Iterator[str]:
-        """Content hashes of every entry currently on disk."""
-        if not self.root.is_dir():
             return
-        for path in self.root.glob("*/*.pkl"):
-            yield path.stem
-
-    def read_bytes(self, key: str) -> bytes | None:
-        """Raw envelope bytes for ``key``, or None when absent/unreadable."""
-        try:
-            return self.path_for(key).read_bytes()
-        except OSError:
-            return None
-
-    def write_bytes(self, key: str, raw: bytes) -> bool:
-        """Store pre-pickled envelope bytes verbatim (atomic).
-
-        The replication layer uses this to copy an entry between shards
-        without a decode/re-encode round trip, so replicas stay
-        byte-identical (and therefore Merkle-comparable).
-        """
-        return self._atomic_write(key, raw)
-
-    def digest(self, key: str) -> str | None:
-        """sha256 hex digest of the entry's raw bytes, or None if absent."""
-        raw = self.read_bytes(key)
-        if raw is None:
-            return None
-        return hashlib.sha256(raw).hexdigest()
-
-    @staticmethod
-    def validate_bytes(raw: bytes) -> bool:
-        """Whether raw envelope bytes decode to a current-schema result."""
-        try:
-            envelope = pickle.loads(raw)
-            return (
-                isinstance(envelope, dict)
-                and envelope.get("schema") == ENGINE_SCHEMA_VERSION
-                and isinstance(envelope.get("result"), CompileResult)
-            )
-        except Exception:
-            return False
+        self._writes += 1
 
     def stats(self) -> CacheStats:
         """Current counters plus a disk scan of entries/bytes."""

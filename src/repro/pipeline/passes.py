@@ -40,7 +40,7 @@ from repro.core.length import replicate_for_length
 from repro.core.macro import macro_replicate
 from repro.core.plan import EMPTY_PLAN, ReplicationPlan
 from repro.core.replicator import replicate
-from repro.ddg.analysis import analysis_memo_stats, mii
+from repro.ddg.analysis import analysis_memo_stats, begin_analysis_count, mii
 from repro.ddg.csr import kernel_dispatch_stats
 from repro.ddg.graph import Ddg
 from repro.machine.config import MachineConfig
@@ -503,6 +503,9 @@ def run_pass_pipeline(
     escalation = escalation if escalation is not None else DEFAULT_ESCALATION
     stack = build_pass_stack(name, config)
 
+    # The memo counters this compilation publishes count its own
+    # lookups, not those of whatever compiled ``ddg`` before it.
+    begin_analysis_count(ddg)
     loop_mii = mii(ddg, machine)
     bound = max_ii if max_ii is not None else 16 * loop_mii + 4 * len(ddg) + 64
     ctx = CompilationContext(

@@ -1,53 +1,39 @@
-"""Compilation-as-a-service: HTTP API over a sharded, replicated cache.
+"""Compilation-as-a-service: an HTTP API over the on-disk result cache.
 
-The repo's first network-facing subsystem (``python -m repro serve``),
-in four layers:
+The repo's network-facing subsystem (``python -m repro serve``), in
+three layers over one :class:`~repro.engine.cache.ResultCache`:
 
 * :mod:`repro.serve.server` — an asyncio HTTP/JSON API (stdlib only):
   submit jobs, poll status, stream engine events as NDJSON;
-* :mod:`repro.serve.shards` (+ :mod:`hashring`, :mod:`merkle`) — N
-  result-cache shards behind a consistent-hash ring with configurable
-  replication, read-repair, and Merkle anti-entropy sweeps;
 * :mod:`repro.serve.admission` — bounded queueing with 429 +
   ``Retry-After`` backpressure, per-client in-flight caps, and
   graceful drain;
 * :mod:`repro.serve.manager` — the async job lifecycle bridging the
   HTTP layer onto the existing engine executor/event machinery.
 
-:mod:`repro.serve.cluster` packs all of it into the in-process
-:class:`ServeCluster` harness; the local single-process path is the
-degenerate 1-shard deployment of the same stack.
+The cache uses the engine's on-disk layout, so a server and
+``repro bench`` pointed at one directory share results.
+:mod:`repro.serve.cluster` packs the stack into the in-process
+:class:`ServeCluster` harness.
 """
 
 from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.cluster import ServeCluster, run_smoke
-from repro.serve.hashring import HashRing, Segment, ring_position
 from repro.serve.manager import JobManager, JobRecord, JobStatus
-from repro.serve.merkle import MerkleTree, diff_buckets, diff_keys
 from repro.serve.server import ServeConfig, ServeServer, build_service
-from repro.serve.shards import CacheShard, ShardedCache, SweepReport
 
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "CacheShard",
-    "HashRing",
     "JobManager",
     "JobRecord",
     "JobStatus",
-    "MerkleTree",
-    "Segment",
     "ServeClient",
     "ServeCluster",
     "ServeConfig",
     "ServeError",
     "ServeServer",
-    "ShardedCache",
-    "SweepReport",
     "build_service",
-    "diff_buckets",
-    "diff_keys",
-    "ring_position",
     "run_smoke",
 ]

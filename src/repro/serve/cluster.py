@@ -1,17 +1,16 @@
 """In-process serve deployments: the test harness and the smoke check.
 
-:class:`ServeCluster` boots the full serving stack — sharded cache,
+:class:`ServeCluster` boots the full serving stack — result cache,
 admission, job manager, optionally the real HTTP listener — inside a
 background thread running its own asyncio loop, and exposes a plain
-synchronous facade. Tier-1 tests get a hermetic N-shard "cluster"
-(shard stores under one temp directory, thread-pool compiles, an
-ephemeral port when HTTP is requested) that exercises exactly the code
-a production deployment runs; nothing is mocked but the process
-boundary.
+synchronous facade. Tier-1 tests get a hermetic deployment (the cache
+in a temp directory, thread-pool compiles, an ephemeral port when HTTP
+is requested) that exercises exactly the code a production deployment
+runs; nothing is mocked but the process boundary.
 
 :func:`run_smoke` is the CI entry point (``python -m repro serve
---smoke``): boot a 1-shard server, push one job over real HTTP, poll it
-to completion, stream its events, and assert the served result's
+--smoke``): boot a server, push one job over real HTTP, poll it to
+completion, stream its events, and assert the served result's
 fingerprint matches a local ``compile_loop`` of the same cell.
 """
 
@@ -24,15 +23,13 @@ import threading
 
 from repro.engine.jobs import CompileJob, JobResult
 from repro.serve.server import ServeConfig, ServeServer, build_service
-from repro.serve.shards import SweepReport
 
 
 class ServeCluster:
     """A whole deployment in one process, driven synchronously.
 
     Args:
-        root: directory for the shard stores.
-        shards / replication / vnodes: ring shape.
+        root: result-cache directory.
         executor: ``"thread"`` (hermetic default) or ``"process"``.
         workers: compile pool size.
         timeout: per-job timeout handed to the manager.
@@ -43,9 +40,6 @@ class ServeCluster:
     def __init__(
         self,
         root: str | pathlib.Path,
-        shards: int = 3,
-        replication: int = 2,
-        vnodes: int = 16,
         executor: str = "thread",
         workers: int = 2,
         timeout: float | None = None,
@@ -56,9 +50,6 @@ class ServeCluster:
         self.config = ServeConfig(
             host="127.0.0.1",
             port=0,
-            shards=shards,
-            replication=replication,
-            vnodes=vnodes,
             data_dir=str(root),
             executor=executor,
             workers=workers,
@@ -177,27 +168,9 @@ class ServeCluster:
     async def _forget(self) -> None:
         self.manager.records.clear()
 
-    # -- fault injection / anti-entropy ---------------------------------
-
-    def kill_shard(self, shard_id: int, wipe: bool = True) -> None:
-        """Take one shard down (optionally destroying its store)."""
-        self.cache.kill_shard(shard_id, wipe=wipe)
-
-    def restore_shard(self, shard_id: int) -> None:
-        """Bring a shard back up (empty until swept)."""
-        self.cache.restore_shard(shard_id)
-
-    def sweep(self) -> SweepReport:
-        """Run one Merkle anti-entropy pass."""
-        return self.cache.sweep()
-
-    def replication_ok(self) -> bool:
-        """Whether every segment's live replicas agree (Merkle roots)."""
-        return self.cache.replication_ok()
-
 
 def run_smoke(executor: str = "thread", quiet: bool = False) -> int:
-    """Boot a 1-shard server, compile one job over HTTP, verify it.
+    """Boot a server, compile one job over HTTP, verify it.
 
     Returns a process exit code (0 = the served result is
     fingerprint-identical to a local compile and the event stream is
@@ -217,10 +190,7 @@ def run_smoke(executor: str = "thread", quiet: bool = False) -> int:
             print(message)
 
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
-        cluster = ServeCluster(
-            root=tmp, shards=1, replication=1, executor=executor, workers=2,
-            http=True,
-        )
+        cluster = ServeCluster(root=tmp, executor=executor, workers=2, http=True)
         with cluster:
             client = ServeClient(cluster.url, client_id="smoke")
             say(f"server up at {cluster.url} ({cluster.config.executor} pool)")
@@ -254,7 +224,8 @@ def run_smoke(executor: str = "thread", quiet: bool = False) -> int:
                 and events[-1]["kind"] in ("finished", "cache_hit"),
                 "resubmit hits the cache/records": client.submit(job)["status"]
                 == "done",
-                "stats respond": stats["ring"]["shards"] == 1,
+                "stats report the cache": stats["cache"]["writes"] == 1
+                and stats["cache"]["entries"] == 1,
                 "stats metrics are typed": request_seconds.get("type")
                 == "histogram"
                 and len(request_seconds.get("counts", [])) > 0,

@@ -6,7 +6,7 @@ HTTP front end and the existing engine machinery. Per submission it:
 1. dedupes on the job's content hash — resubmitting a known key
    attaches to the in-flight (or finished) record instead of compiling
    twice;
-2. consults the sharded result cache — a hit is terminal immediately
+2. consults the on-disk result cache — a hit is terminal immediately
    and bypasses admission (it consumes no compile capacity);
 3. otherwise asks the :class:`~repro.serve.admission.AdmissionController`
    for a slot (the HTTP layer turns a refusal into 429/503) and
@@ -118,8 +118,8 @@ class JobManager:
     """Owns job records, the executor pool, and event fan-out.
 
     Args:
-        cache: result store — a :class:`~repro.serve.shards.ShardedCache`
-            or any ``ResultCache``-compatible object.
+        cache: result store — a :class:`~repro.engine.cache.ResultCache`
+            or any object with its ``get``/``put``.
         admission: slot controller shared with the HTTP layer.
         executor: ``"thread"`` (hermetic, in-process) or ``"process"``
             (the engine's ProcessPoolExecutor worker path).

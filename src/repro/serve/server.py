@@ -16,7 +16,7 @@ install. Endpoints:
 * ``GET /jobs/<key>/events`` — the job's engine event stream as NDJSON:
   full history first, then live events until the job is terminal.
 * ``GET /healthz`` — liveness (+ drain state).
-* ``GET /stats`` — queue depth, shard/cache stats, and a typed metrics
+* ``GET /stats`` — queue depth, result-cache stats, and a typed metrics
   export (histograms keep their buckets and carry p50/p95/p99).
 * ``GET /metrics`` — the same registry in Prometheus text exposition
   format (see :mod:`repro.obs.prometheus`), scrapable by any
@@ -46,7 +46,7 @@ import json
 import pathlib
 import time
 
-from repro.engine.cache import cache_root
+from repro.engine.cache import ResultCache, cache_root
 from repro.engine.events import EventBus
 from repro.obs import spans as obs
 from repro.obs.log import get_logger
@@ -55,7 +55,6 @@ from repro.obs.prometheus import render_exposition
 from repro.obs.propagate import TRACEPARENT_HEADER, parse_traceparent
 from repro.serve.admission import AdmissionController
 from repro.serve.manager import JobManager
-from repro.serve.shards import ShardedCache
 
 _log = get_logger("serve")
 
@@ -91,16 +90,12 @@ _REASONS = {
 class ServeConfig:
     """Deployment knobs for one server (CLI flags map 1:1).
 
-    The defaults are the degenerate deployment: one shard over the
-    local cache root, so a server and the ``repro bench`` CLI share
-    results.
+    The default data directory is the local cache root, so a server
+    and the ``repro bench`` CLI share results.
     """
 
     host: str = "127.0.0.1"
     port: int = 8774
-    shards: int = 1
-    replication: int = 1
-    vnodes: int = 16
     data_dir: str | None = None
     executor: str = "process"
     workers: int = 2
@@ -110,7 +105,7 @@ class ServeConfig:
     retry_after: float = 1.0
 
     def resolved_data_dir(self) -> pathlib.Path:
-        """Shard store root (default: the engine's local cache root)."""
+        """Result-cache root (default: the engine's local cache root)."""
         if self.data_dir:
             return pathlib.Path(self.data_dir).expanduser()
         return cache_root()
@@ -118,16 +113,14 @@ class ServeConfig:
 
 def build_service(
     config: ServeConfig, bus: EventBus | None = None
-) -> tuple[ShardedCache, AdmissionController, JobManager, MetricsRegistry]:
-    """Wire up the cache/admission/manager stack for one deployment."""
+) -> tuple[ResultCache, AdmissionController, JobManager, MetricsRegistry]:
+    """Wire up the cache/admission/manager stack for one deployment.
+
+    The cache is always on: ``REPRO_CACHE=off`` switches off the batch
+    engine's store, not a server's.
+    """
     metrics = MetricsRegistry()
-    cache = ShardedCache(
-        root=config.resolved_data_dir(),
-        n_shards=config.shards,
-        replication=config.replication,
-        vnodes=config.vnodes,
-        metrics=metrics,
-    )
+    cache = ResultCache(root=config.resolved_data_dir(), enabled=True)
     admission = AdmissionController(
         max_queue=config.queue_limit,
         max_inflight_per_client=config.max_inflight,
@@ -152,7 +145,7 @@ class ServeServer:
     def __init__(
         self,
         manager: JobManager,
-        cache: ShardedCache,
+        cache: ResultCache,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
@@ -351,14 +344,6 @@ class ServeServer:
 
     def _stats_payload(self) -> dict:
         cache_stats = self.cache.stats()
-        shards = [
-            {
-                "id": shard.shard_id,
-                "up": shard.up,
-                "entries": sum(1 for _ in shard.cache.keys()) if shard.up else 0,
-            }
-            for shard in self.cache.shards
-        ]
         return {
             "jobs": self.manager.counts(),
             "admission": {
@@ -373,12 +358,6 @@ class ServeServer:
                 "entries": cache_stats.entries,
                 "total_bytes": cache_stats.total_bytes,
             },
-            "ring": {
-                "shards": self.cache.ring.n_shards,
-                "replication": self.cache.ring.replication,
-                "vnodes": self.cache.ring.vnodes,
-            },
-            "shards": shards,
             # Typed export (not snapshot()): histograms keep their
             # bucket vectors and precomputed p50/p95/p99 instead of
             # being flattened to count/sum/max scalars.

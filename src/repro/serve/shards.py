@@ -1,357 +1,10 @@
-"""A sharded, replicated view over N on-disk result caches.
+"""Compatibility alias kept only for ``perfbench/``.
 
-:class:`ShardedCache` consistent-hashes every job key
-(:class:`~repro.serve.hashring.HashRing`) across N
-:class:`CacheShard` instances and keeps ``replication`` byte-identical
-copies of each entry. It is a drop-in for
-:class:`repro.engine.cache.ResultCache` (``get``/``put``/``stats``/
-``enabled``), so ``EngineConfig(cache=ShardedCache(...))`` turns the
-existing batch engine into a multi-shard deployment — and a 1-shard
-ring over the default cache root *is* the local single-process path.
-
-Fault tolerance:
-
-* **writes** fan out to every live owner in the key's preference list
-  (one serialization, copied byte-for-byte, so replicas stay
-  Merkle-comparable);
-* **reads** walk the preference list until a replica hits, then
-  *read-repair*: any other owner that is missing the entry or holds
-  divergent bytes gets the winning copy rewritten;
-* **anti-entropy** (:meth:`ShardedCache.sweep`) compares per-segment
-  Merkle trees between the owners of every ring segment and reconciles
-  only the keys in diverging buckets — this is how a shard that was
-  lost and rebuilt from an empty directory gets its replicas back.
-
-Everything is observable: ``shard.get``/``shard.put``/
-``antientropy.sweep`` spans (:mod:`repro.obs.spans`) plus hit/miss/
-repair counters in a :class:`~repro.obs.metrics.MetricsRegistry`.
+The benchmark's traced server (``perfbench/serve_launcher.py``) wraps
+``repro.serve.shards.ShardedCache.get``/``put`` to time cache reads and
+writes. The server's store is a plain
+:class:`~repro.engine.cache.ResultCache`, so the name points at that
+class. Delete this module on the next change to the benchmark.
 """
 
-from __future__ import annotations
-
-import dataclasses
-import hashlib
-import pathlib
-import shutil
-import threading
-
-from repro.engine.cache import CacheStats, ResultCache
-from repro.obs import spans as obs
-from repro.obs.metrics import MetricsRegistry
-from repro.pipeline.driver import CompileResult
-from repro.serve.hashring import HashRing, Segment, ring_position
-from repro.serve.merkle import MerkleTree, diff_keys
-
-
-class CacheShard:
-    """One replica store: a :class:`ResultCache` plus liveness state."""
-
-    def __init__(self, shard_id: int, root: pathlib.Path) -> None:
-        self.shard_id = shard_id
-        self.root = pathlib.Path(root)
-        self.cache = ResultCache(root=self.root, enabled=True)
-        self.up = True
-
-    def get(self, key: str) -> CompileResult | None:
-        """Entry for ``key`` (None when down, absent, or corrupt)."""
-        if not self.up:
-            return None
-        return self.cache.get(key)
-
-    def put(self, key: str, result: CompileResult) -> None:
-        if self.up:
-            self.cache.put(key, result)
-
-    def digest(self, key: str) -> str | None:
-        """Raw-bytes digest, or None when down or absent."""
-        if not self.up:
-            return None
-        return self.cache.digest(key)
-
-    def read_bytes(self, key: str) -> bytes | None:
-        if not self.up:
-            return None
-        return self.cache.read_bytes(key)
-
-    def write_bytes(self, key: str, raw: bytes) -> bool:
-        if not self.up:
-            return False
-        return self.cache.write_bytes(key, raw)
-
-    def remove(self, key: str) -> None:
-        """Best-effort drop of one entry."""
-        try:
-            self.cache.path_for(key).unlink()
-        except OSError:
-            pass
-
-    def segment_entries(self, segment: Segment) -> dict[str, str]:
-        """``{key: digest}`` for this shard's entries inside ``segment``."""
-        entries: dict[str, str] = {}
-        if not self.up:
-            return entries
-        for key in self.cache.keys():
-            if segment.contains(ring_position(key)):
-                digest = self.cache.digest(key)
-                if digest is not None:
-                    entries[key] = digest
-        return entries
-
-    def merkle(self, segment: Segment) -> MerkleTree:
-        """Merkle tree over this shard's slice of ``segment``."""
-        return MerkleTree(self.segment_entries(segment))
-
-    def wipe(self) -> None:
-        """Delete the shard's entire store (simulated disk loss)."""
-        shutil.rmtree(self.root, ignore_errors=True)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "up" if self.up else "down"
-        return f"CacheShard({self.shard_id}, {state}, {self.root})"
-
-
-@dataclasses.dataclass
-class SweepReport:
-    """What one anti-entropy pass found and fixed."""
-
-    segments: int = 0
-    divergent_segments: int = 0
-    keys_examined: int = 0
-    copies_written: int = 0
-    dropped_corrupt: int = 0
-
-    def summary(self) -> str:
-        """One-line human-readable report."""
-        return (
-            f"{self.segments} segments, {self.divergent_segments} divergent, "
-            f"{self.keys_examined} keys examined, "
-            f"{self.copies_written} copies written, "
-            f"{self.dropped_corrupt} corrupt dropped"
-        )
-
-
-class ShardedCache:
-    """Consistent-hashed, replicated result store (ResultCache-compatible).
-
-    Args:
-        root: directory receiving one ``shard-<i>/`` store per shard
-            when ``n_shards > 1``; with one shard the root itself is the
-            store, so the degenerate deployment shares the local cache.
-        n_shards: shard count.
-        replication: copies kept per entry (clamped to ``n_shards``).
-        vnodes: ring smoothing factor (see :class:`HashRing`).
-        metrics: shared registry; one is created when omitted.
-    """
-
-    def __init__(
-        self,
-        root: str | pathlib.Path,
-        n_shards: int = 1,
-        replication: int = 1,
-        vnodes: int = 16,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.root = pathlib.Path(root)
-        self.ring = HashRing(n_shards, replication=replication, vnodes=vnodes)
-        if n_shards == 1:
-            roots = [self.root]
-        else:
-            roots = [self.root / f"shard-{i}" for i in range(n_shards)]
-        self.shards = [CacheShard(i, path) for i, path in enumerate(roots)]
-        self.enabled = True  # ResultCache interface: always a real store
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._shard_metrics = self.metrics.scoped("shard")
-        self._sweep_metrics = self.metrics.scoped("antientropy")
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-
-    # -- ResultCache interface ------------------------------------------
-
-    def get(self, key: str) -> CompileResult | None:
-        """Read through the preference list, repairing stale replicas."""
-        owners = [self.shards[i] for i in self.ring.preference(key)]
-        with obs.span("shard.get", key=key[:12]) as span:
-            result = None
-            source: CacheShard | None = None
-            behind: list[CacheShard] = []
-            for shard in owners:
-                if not shard.up:
-                    continue
-                if result is None:
-                    result = shard.get(key)
-                    if result is not None:
-                        source = shard
-                    else:
-                        behind.append(shard)
-            with self._lock:
-                if result is None:
-                    self._misses += 1
-                else:
-                    self._hits += 1
-            if result is None:
-                self._shard_metrics.counter("misses").inc()
-                span.set(outcome="miss")
-                return None
-            self._shard_metrics.counter("hits").inc()
-            span.set(outcome="hit", source=source.shard_id)
-            self._read_repair(key, source, owners, behind)
-        return result
-
-    def _read_repair(
-        self,
-        key: str,
-        source: CacheShard,
-        owners: list[CacheShard],
-        known_behind: list[CacheShard],
-    ) -> None:
-        """Copy the winning bytes to owners that miss or diverge."""
-        raw = source.read_bytes(key)
-        if raw is None:  # lost a race with eviction; the next get repairs
-            return
-        want = hashlib.sha256(raw).hexdigest()
-        for shard in owners:
-            if shard is source or not shard.up:
-                continue
-            if shard in known_behind or shard.digest(key) != want:
-                if shard.write_bytes(key, raw):
-                    self._shard_metrics.counter("read_repairs").inc()
-
-    def put(self, key: str, result: CompileResult) -> None:
-        """Write one serialization to every live owner."""
-        raw = ResultCache.encode(result)
-        owners = self.ring.preference(key)
-        with obs.span("shard.put", key=key[:12], owners=list(owners)):
-            for shard_id in owners:
-                shard = self.shards[shard_id]
-                if shard.up and shard.write_bytes(key, raw):
-                    self._shard_metrics.counter("replica_writes").inc()
-
-    def stats(self) -> CacheStats:
-        """Aggregate counters + disk usage across every live shard."""
-        entries = 0
-        total = 0
-        writes = 0
-        evicted = 0
-        for shard in self.shards:
-            if not shard.up:
-                continue
-            shard_stats = shard.cache.stats()
-            entries += shard_stats.entries
-            total += shard_stats.total_bytes
-            writes += shard_stats.writes
-            evicted += shard_stats.evicted_corrupt
-        with self._lock:
-            hits, misses = self._hits, self._misses
-        return CacheStats(
-            hits=hits,
-            misses=misses,
-            writes=writes,
-            evicted_corrupt=evicted,
-            entries=entries,
-            total_bytes=total,
-        )
-
-    def clear(self) -> int:
-        """Delete every entry on every shard; returns the number removed."""
-        return sum(shard.cache.clear() for shard in self.shards)
-
-    # -- failure injection ----------------------------------------------
-
-    def kill_shard(self, shard_id: int, wipe: bool = True) -> None:
-        """Take a shard down (optionally destroying its disk state)."""
-        shard = self.shards[shard_id]
-        shard.up = False
-        if wipe:
-            shard.wipe()
-
-    def restore_shard(self, shard_id: int) -> None:
-        """Bring a shard back (empty until a sweep rebuilds it)."""
-        self.shards[shard_id].up = True
-
-    # -- anti-entropy ----------------------------------------------------
-
-    def sweep(self) -> SweepReport:
-        """One Merkle anti-entropy pass over every ring segment.
-
-        For each segment the live owners' trees are compared; segments
-        whose roots all agree are skipped outright. Diverging segments
-        are reconciled key-by-key (keys drawn only from diverging
-        buckets): the first owner holding bytes that still decode wins,
-        everyone else gets that copy verbatim. Entries no owner can
-        decode are dropped — they are recomputable, and keeping torn
-        bytes would fail every future sweep.
-        """
-        report = SweepReport()
-        with obs.span("antientropy.sweep") as span:
-            for segment in self.ring.segments():
-                live = [
-                    self.shards[i] for i in segment.owners if self.shards[i].up
-                ]
-                if len(live) < 2:
-                    continue
-                report.segments += 1
-                trees = [shard.merkle(segment) for shard in live]
-                if len({tree.root for tree in trees}) == 1:
-                    continue
-                report.divergent_segments += 1
-                suspects: set[str] = set()
-                for i in range(len(trees)):
-                    for j in range(i + 1, len(trees)):
-                        suspects |= diff_keys(trees[i], trees[j])
-                for key in sorted(suspects):
-                    report.keys_examined += 1
-                    self._reconcile(key, live, report)
-            span.set(
-                segments=report.segments,
-                divergent=report.divergent_segments,
-                copies=report.copies_written,
-            )
-        self._sweep_metrics.counter("sweeps").inc()
-        self._sweep_metrics.counter("copies_written").inc(report.copies_written)
-        self._sweep_metrics.gauge("last_divergent_segments").set(
-            report.divergent_segments
-        )
-        return report
-
-    @staticmethod
-    def _reconcile(key: str, live: list[CacheShard], report: SweepReport) -> None:
-        """Converge one key across the live owners of its segment."""
-        canonical: bytes | None = None
-        for shard in live:
-            raw = shard.read_bytes(key)
-            if raw is not None and ResultCache.validate_bytes(raw):
-                canonical = raw
-                break
-        if canonical is None:
-            for shard in live:
-                if shard.read_bytes(key) is not None:
-                    shard.remove(key)
-                    report.dropped_corrupt += 1
-            return
-        want = hashlib.sha256(canonical).hexdigest()
-        for shard in live:
-            if shard.digest(key) != want and shard.write_bytes(key, canonical):
-                report.copies_written += 1
-
-    # -- introspection ---------------------------------------------------
-
-    def segment_trees(self) -> list[tuple[Segment, dict[int, MerkleTree]]]:
-        """Per-segment Merkle trees of every live owner (test surface)."""
-        out = []
-        for segment in self.ring.segments():
-            trees = {
-                shard_id: self.shards[shard_id].merkle(segment)
-                for shard_id in segment.owners
-                if self.shards[shard_id].up
-            }
-            out.append((segment, trees))
-        return out
-
-    def replication_ok(self) -> bool:
-        """Whether every segment's live owners agree byte-for-byte."""
-        return all(
-            len({tree.root for tree in trees.values()}) <= 1
-            for _, trees in self.segment_trees()
-        )
+from repro.engine.cache import ResultCache as ShardedCache  # noqa: F401

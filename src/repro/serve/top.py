@@ -1,10 +1,10 @@
 """``python -m repro top`` — a live text dashboard for one server.
 
-Polls ``GET /stats`` (typed metrics export, job counts, shard health)
-and ``GET /metrics`` (the Prometheus exposition, exercising the same
-path a real scraper uses) on an interval and renders a plain-text
-dashboard: jobs/s, queue depth, p50/p95 request latency, cache hit
-rate, per-shard health. Stdlib only — the "refresh" is an ANSI
+Polls ``GET /stats`` (typed metrics export, job counts, cache
+counters) and ``GET /metrics`` (the Prometheus exposition, exercising
+the same path a real scraper uses) on an interval and renders a
+plain-text dashboard: jobs/s, queue depth, p50/p95 request latency,
+cache hit rate. Stdlib only — the "refresh" is an ANSI
 clear-and-home, so it works in any terminal without curses.
 
 Rates and interval percentiles come from *deltas* between consecutive
@@ -187,15 +187,6 @@ def render_dashboard(
         f"  admission    deduped {deduped:g}  rejected {rejected_total:g}"
     )
 
-    shards = stats.get("shards", [])
-    if shards:
-        parts = []
-        for shard in shards:
-            mark = "up" if shard.get("up") else "DOWN"
-            parts.append(
-                f"#{shard.get('id')} {mark} ({shard.get('entries', 0)})"
-            )
-        lines.append(f"  shards       {'  '.join(parts)}")
     return "\n".join(lines)
 
 

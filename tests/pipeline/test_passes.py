@@ -28,6 +28,7 @@ from repro.schedule.scheduler import FailureCause, ScheduleFailure
 from repro.schedule.scheduler import schedule as real_schedule
 from repro.sim.verifier import verify_kernel
 from repro.workloads.patterns import daxpy, stencil5
+from repro.workloads.specfp import benchmark_loops
 
 
 @pytest.fixture
@@ -213,6 +214,25 @@ class TestDiagnostics:
         json.dumps(payload)
         assert payload["ii_trajectory"] == result.diagnostics.ii_trajectory
         assert payload["total_seconds"] >= 0.0
+
+    def test_memo_counters_do_not_depend_on_earlier_compiles(self):
+        """One Ddg compiled twice (another scheme in between) reports the
+        same analysis-memo counters each time."""
+        ddg = benchmark_loops("fpppp", limit=1)[0].ddg
+        machine = parse_config("4c1b2l64r")
+
+        def memo_counters(scheme):
+            counters = compile_loop(ddg, machine, scheme=scheme).diagnostics.counters
+            return {
+                name: value
+                for name, value in counters.items()
+                if name.startswith("partition.analysis_memo_")
+            }
+
+        first = memo_counters(Scheme.BASELINE)
+        assert first["partition.analysis_memo_misses"] > 0
+        memo_counters(Scheme.REPLICATION)
+        assert memo_counters(Scheme.BASELINE) == first
 
 
 class TestEscalationPolicies:

@@ -1,18 +1,19 @@
-"""The acceptance scenario from the serving-layer issue.
+"""The in-process deployment against the local single-process path.
 
-An in-process 3-shard cluster (replication factor 2) serves a bench
-matrix with results semantically identical to the local single-process
-path; killing one shard mid-run returns zero wrong results; and an
-anti-entropy sweep restores the lost replicas, asserted via Merkle
-digests.
+A server over one result cache serves a bench-matrix slice with
+results semantically identical to local compiles, serves every
+resubmission from that cache, and shares the cache's on-disk layout
+with the batch engine in both directions.
 """
 
 import pytest
 
+from repro.engine.cache import ResultCache
 from repro.engine.fingerprint import result_fingerprint
 from repro.engine.jobs import CompileJob, Outcome
 from repro.machine.config import parse_config
 from repro.pipeline.driver import Scheme, compile_loop
+from repro.serve.client import ServeClient
 from repro.serve.cluster import ServeCluster
 from repro.workloads.specfp import benchmark_loops
 
@@ -60,50 +61,29 @@ def _fingerprints(results):
     }
 
 
-def test_three_shard_cluster_acceptance(tmp_path, expected):
+def test_cluster_acceptance(tmp_path, expected):
     jobs = _matrix()
     with ServeCluster(
-        root=tmp_path / "cluster", shards=3, replication=2, executor="thread",
-        workers=2,
+        root=tmp_path / "cluster", executor="thread", workers=2
     ) as cluster:
         # -- the matrix, served -------------------------------------------
         results = cluster.run_jobs(jobs)
         assert len(results) == len(jobs)
         assert all(r.outcome is Outcome.OK for r in results)
         assert _fingerprints(results) == expected
-        assert cluster.replication_ok(), "fresh run must leave replicas in sync"
 
-        # -- kill one shard mid-run: zero wrong results -------------------
-        cluster.kill_shard(0, wipe=True)
+        # -- resubmitted after the records are gone: all from the cache ---
         cluster.forget_records()  # resubmissions re-walk the cache path
-        survivors = cluster.run_jobs(jobs)
-        assert all(r.outcome is Outcome.OK for r in survivors)
-        assert _fingerprints(survivors) == expected
-        # replication factor 2 means every key kept one live replica,
-        # so the re-run is served from cache, not recomputed
-        assert all(r.cached for r in survivors)
-
-        # -- anti-entropy rebuilds the lost shard -------------------------
-        cluster.restore_shard(0)
-        assert not cluster.replication_ok()
-        report = cluster.sweep()
-        assert report.copies_written > 0
-        assert report.dropped_corrupt == 0
-        # asserted via Merkle digests: every segment's live owners now
-        # hold byte-identical slices
-        for _segment, trees in cluster.cache.segment_trees():
-            assert len({tree.root for tree in trees.values()}) <= 1
-        assert cluster.replication_ok()
-
-        # a second sweep finds nothing left to fix
-        assert cluster.sweep().copies_written == 0
+        again = cluster.run_jobs(jobs)
+        assert all(r.outcome is Outcome.OK for r in again)
+        assert all(r.cached for r in again)
+        assert _fingerprints(again) == expected
 
 
 def test_cluster_dedupes_concurrent_submissions(tmp_path):
     jobs = _matrix()[:2]
     with ServeCluster(
-        root=tmp_path / "dedupe", shards=3, replication=2, executor="thread",
-        workers=2,
+        root=tmp_path / "dedupe", executor="thread", workers=2
     ) as cluster:
         first = cluster.run_jobs(jobs + jobs)
         assert len(first) == 4
@@ -114,16 +94,40 @@ def test_cluster_dedupes_concurrent_submissions(tmp_path):
         )
 
 
-def test_single_shard_cluster_is_the_local_path(tmp_path):
-    """The degenerate deployment writes the plain local cache layout."""
+def test_cluster_writes_the_local_cache_layout(tmp_path):
+    """Served results land where the batch engine's cache looks."""
     job = _matrix()[0]
-    with ServeCluster(
-        root=tmp_path / "one", shards=1, replication=1, executor="thread",
-        workers=1,
-    ) as cluster:
+    with ServeCluster(root=tmp_path / "one", executor="thread", workers=1) as cluster:
         [served] = cluster.run_jobs([job])
         assert served.outcome is Outcome.OK
     key = job.content_hash()
     assert (tmp_path / "one" / key[:2] / f"{key}.pkl").exists()
     local = compile_loop(job.ddg, parse_config(MACHINE), scheme=job.scheme)
     assert result_fingerprint(served.result) == result_fingerprint(local)
+    assert ResultCache(root=tmp_path / "one", enabled=True).get(key) is not None
+
+
+def test_server_serves_a_plain_result_cache(tmp_path, expected):
+    """A data dir filled by the batch engine's cache is served as hits."""
+    jobs = _matrix()[:4]
+    store = ResultCache(root=tmp_path / "filled", enabled=True)
+    config = parse_config(MACHINE)
+    for job in jobs:
+        store.put(
+            job.content_hash(), compile_loop(job.ddg, config, scheme=job.scheme)
+        )
+    with ServeCluster(
+        root=tmp_path / "filled", executor="thread", workers=1, http=True
+    ) as cluster:
+        client = ServeClient(cluster.url, client_id="filled")
+        for job in jobs:
+            key = job.content_hash()
+            # By key alone: only the cache can answer this.
+            code, status = client.submit_key(key)
+            assert code == 200
+            assert status["status"] == "done"
+            assert status["cached"] is True
+            assert status["fingerprint"] == expected[key]
+        metrics = client.stats()["metrics"]
+        assert metrics["serve.cache_hits"]["value"] == len(jobs)
+        assert "serve.compiled" not in metrics

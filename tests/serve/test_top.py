@@ -19,10 +19,6 @@ def _stats(done=10, queued=1, running=2, counts=None, hits=4, misses=6):
         "admission": {"queue_depth": queued + running, "queue_limit": 256,
                       "draining": False},
         "cache": {"hits": hits, "misses": misses, "entries": 12},
-        "shards": [
-            {"id": 0, "up": True, "entries": 7},
-            {"id": 1, "up": False, "entries": 0},
-        ],
         "metrics": {
             "serve.http.request_seconds": {
                 "type": "histogram",
@@ -93,11 +89,10 @@ class TestRender:
         frame = render_dashboard(after, before, "http://x:1")
         assert "5 requests" in frame
 
-    def test_shard_health_and_cache_line(self):
+    def test_cache_and_admission_lines(self):
         frame = render_dashboard(_sample(at=1.0), None, "u")
-        assert "#0 up (7)" in frame
-        assert "#1 DOWN (0)" in frame
-        assert " 40.0% hits" in frame
+        assert " 40.0% hits  (4/10 lookups, 12 entries)" in frame
+        assert "shards" not in frame
         assert "deduped 3" in frame
         assert "rejected 2" in frame
 
@@ -107,8 +102,7 @@ class TestLiveLoop:
         from repro.serve.cluster import ServeCluster
 
         with ServeCluster(
-            root=tmp_path, shards=1, replication=1, executor="thread",
-            workers=1, http=True,
+            root=tmp_path, executor="thread", workers=1, http=True
         ) as cluster:
             out = io.StringIO()
             code = run_top(cluster.url, once=True, out=out)

@@ -44,8 +44,7 @@ def _serve_and_drain(tmp_path, executor, ddg, tag):
     with obs.force_enabled():
         obs.tracer().drain()  # stray spans from earlier tests
         with ServeCluster(
-            root=tmp_path, shards=1, replication=1, executor=executor,
-            workers=1, http=True,
+            root=tmp_path, executor=executor, workers=1, http=True
         ) as cluster:
             client = ServeClient(cluster.url, client_id="stitch")
             submitted = client.submit(_job(ddg=ddg, tag=tag))
@@ -169,8 +168,7 @@ class TestCacheHitStitching:
         with obs.force_enabled():
             obs.tracer().drain()
             with ServeCluster(
-                root=tmp_path, shards=1, replication=1, executor="thread",
-                workers=1, http=True,
+                root=tmp_path, executor="thread", workers=1, http=True
             ) as cluster:
                 client = ServeClient(cluster.url, client_id="stitch")
                 job = _job(ddg=dot_product(), tag="stitch/cachehit")
@@ -209,8 +207,7 @@ class TestCacheHitStitching:
         with obs.force_enabled():
             obs.tracer().drain()
             with ServeCluster(
-                root=tmp_path, shards=1, replication=1, executor="thread",
-                workers=1, http=True,
+                root=tmp_path, executor="thread", workers=1, http=True
             ) as cluster:
                 client = ServeClient(cluster.url, client_id="stitch")
                 job = _job(ddg=dot_product(), tag="stitch/dedupe")
