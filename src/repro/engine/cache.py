@@ -16,6 +16,10 @@ Durability rules:
   entry (truncation, garbage, wrong schema, unpicklable class drift)
   is a cache *miss*, never a crash; the bad file is best-effort
   deleted so it is rebuilt.
+* **keys are content hashes** — a key not of the form
+  :func:`repro.engine.jobs.is_job_key` accepts (a path fragment such as
+  ``../x``, say) is a miss that touches no file, and ``put`` refuses
+  it, so no key can name a file outside the root.
 
 ``REPRO_CACHE_DIR`` overrides the default location (which is
 ``$XDG_CACHE_HOME/repro-engine`` when ``XDG_CACHE_HOME`` is set, else
@@ -31,7 +35,7 @@ import pathlib
 import pickle
 import tempfile
 
-from repro.engine.jobs import ENGINE_SCHEMA_VERSION
+from repro.engine.jobs import ENGINE_SCHEMA_VERSION, is_job_key
 from repro.pipeline.driver import CompileResult
 
 #: Environment variable overriding the cache directory.
@@ -115,12 +119,18 @@ class ResultCache:
         self._evicted = 0
 
     def path_for(self, key: str) -> pathlib.Path:
-        """Entry path for a content hash."""
+        """Entry path for a content hash.
+
+        Raises:
+            ValueError: ``key`` is not a content hash.
+        """
+        if not is_job_key(key):
+            raise ValueError(f"not a job key: {str(key)[:80]!r}")
         return self.root / key[:2] / f"{key}.pkl"
 
     def get(self, key: str) -> CompileResult | None:
         """Stored result for ``key``, or None (miss, never a crash)."""
-        if not self.enabled:
+        if not self.enabled or not is_job_key(key):
             self._misses += 1
             return None
         path = self.path_for(key)
@@ -152,14 +162,18 @@ class ResultCache:
         return result
 
     def put(self, key: str, result: CompileResult) -> None:
-        """Persist a result atomically (tmp file + rename)."""
+        """Persist a result atomically (tmp file + rename).
+
+        Raises:
+            ValueError: ``key`` is not a content hash.
+        """
+        path = self.path_for(key)
         if not self.enabled:
             return
         raw = pickle.dumps(
             {"schema": ENGINE_SCHEMA_VERSION, "result": result},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        path = self.path_for(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(

@@ -18,6 +18,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import re
 
 from repro.ddg import io as ddg_io
 from repro.ddg.graph import Ddg
@@ -48,6 +49,23 @@ from repro.pipeline.driver import (
 #: accepted/rejected splits and ``partition.moves.replicas_surviving``)
 #: from the replication-aware partitioning engine.
 ENGINE_SCHEMA_VERSION = 6
+
+_KEY_FORM = re.compile(r"[0-9a-f]{64}")
+
+
+def is_job_key(key: object) -> bool:
+    """Whether ``key`` has the form of :meth:`CompileJob.content_hash`
+    (64 lowercase hex characters).
+
+    Keys name files in the result cache, so anything else — a path
+    fragment arriving in a URL, say — must never reach the filesystem.
+    """
+    return isinstance(key, str) and _KEY_FORM.fullmatch(key) is not None
+
+
+def _digest(canonical: dict) -> str:
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def resolve_machine(name: str) -> MachineConfig:
@@ -139,10 +157,14 @@ class CompileJob:
 
     def content_hash(self) -> str:
         """Deterministic sha256 hex digest of the canonical payload."""
-        canon = json.dumps(
-            self.canonical_payload(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        return _digest(self.canonical_payload())
+
+    def keyed_wire(self) -> tuple[str, dict]:
+        """``(content_hash(), to_wire())`` from one encode of the DDG."""
+        wire = self.canonical_payload()
+        key = _digest(wire)
+        wire["tag"] = self.tag
+        return key, wire
 
     def to_wire(self) -> dict:
         """Pickle-friendly plain-dict form for cross-process submission."""

@@ -11,7 +11,9 @@ runs; nothing is mocked but the process boundary.
 :func:`run_smoke` is the CI entry point (``python -m repro serve
 --smoke``): boot a server, push one job over real HTTP, poll it to
 completion, stream its events, and assert the served result's
-fingerprint matches a local ``compile_loop`` of the same cell.
+fingerprint matches a local ``compile_loop`` of the same cell; then
+resubmit it (a dedupe) and send a path-traversal key (a 404 that
+touches no file).
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ class ServeCluster:
         records = []
         for job in jobs:
             while True:
-                record, decision = self.manager.submit(job)
+                record, decision, _existed = self.manager.submit(job)
                 if record is not None:
                     break
                 await asyncio.sleep(min(decision.retry_after, 0.02))
@@ -167,20 +169,23 @@ class ServeCluster:
 
     async def _forget(self) -> None:
         self.manager.records.clear()
+        self.manager.body_keys.clear()
 
 
 def run_smoke(executor: str = "thread", quiet: bool = False) -> int:
     """Boot a server, compile one job over HTTP, verify it.
 
     Returns a process exit code (0 = the served result is
-    fingerprint-identical to a local compile and the event stream is
-    sane).
+    fingerprint-identical to a local compile, the event stream is
+    sane, a byte-identical resubmission is one dedupe with the same
+    fingerprint, and a key naming a file outside the data directory is
+    answered 404 without touching that file).
     """
     from repro.engine.fingerprint import result_fingerprint
     from repro.machine.config import parse_config
     from repro.obs.prometheus import parse_exposition, validate_exposition
     from repro.pipeline.driver import Scheme, compile_loop
-    from repro.serve.client import ServeClient
+    from repro.serve.client import ServeClient, ServeError
     from repro.workloads.patterns import daxpy
 
     machine = "2c1b2l64r"
@@ -189,8 +194,24 @@ def run_smoke(executor: str = "thread", quiet: bool = False) -> int:
         if not quiet:
             print(message)
 
+    def status_code(client: ServeClient, key: str) -> int:
+        try:
+            client.status(key)
+        except ServeError as err:
+            return err.status
+        return 200
+
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
-        cluster = ServeCluster(root=tmp, executor=executor, workers=2, http=True)
+        # The data directory is <tmp>/serve/data, so the key "../sentinel"
+        # would name <tmp>/sentinel.pkl if it reached the filesystem.
+        sentinel = pathlib.Path(tmp, "sentinel.pkl")
+        sentinel.write_bytes(b"not a cache entry")
+        cluster = ServeCluster(
+            root=pathlib.Path(tmp, "serve", "data"),
+            executor=executor,
+            workers=2,
+            http=True,
+        )
         with cluster:
             client = ServeClient(cluster.url, client_id="smoke")
             say(f"server up at {cluster.url} ({cluster.config.executor} pool)")
@@ -211,6 +232,8 @@ def run_smoke(executor: str = "thread", quiet: bool = False) -> int:
                 daxpy(), parse_config(machine), scheme=Scheme.REPLICATION
             )
             expected = result_fingerprint(local)
+            resubmitted = client.submit(job)
+            traversal_status = status_code(client, "../sentinel")
             exposition = client.metrics()
             problems = validate_exposition(exposition)
             samples = parse_exposition(exposition) if not problems else {}
@@ -222,10 +245,18 @@ def run_smoke(executor: str = "thread", quiet: bool = False) -> int:
                 == expected,
                 "event stream terminates": bool(events)
                 and events[-1]["kind"] in ("finished", "cache_hit"),
-                "resubmit hits the cache/records": client.submit(job)["status"]
-                == "done",
+                "resubmit hits the cache/records": resubmitted["status"] == "done",
+                "resubmit serves the same fingerprint": resubmitted.get("fingerprint")
+                == done.get("fingerprint"),
+                "stats count one dedupe": stats["metrics"]
+                .get("serve.deduped", {})
+                .get("value")
+                == 1,
                 "stats report the cache": stats["cache"]["writes"] == 1
                 and stats["cache"]["entries"] == 1,
+                "traversal key is 404 and touches no file": traversal_status == 404
+                and sentinel.is_file()
+                and sentinel.read_bytes() == b"not a cache entry",
                 "stats metrics are typed": request_seconds.get("type")
                 == "histogram"
                 and len(request_seconds.get("counts", [])) > 0,

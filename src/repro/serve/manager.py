@@ -5,7 +5,9 @@ HTTP front end and the existing engine machinery. Per submission it:
 
 1. dedupes on the job's content hash — resubmitting a known key
    attaches to the in-flight (or finished) record instead of compiling
-   twice;
+   twice; a request body byte-identical to the one that created a
+   record finds it by the body's digest, without decoding the job
+   (:meth:`JobManager.resubmit`);
 2. consults the on-disk result cache — a hit is terminal immediately
    and bypasses admission (it consumes no compile capacity);
 3. otherwise asks the :class:`~repro.serve.admission.AdmissionController`
@@ -40,7 +42,13 @@ from repro.engine.executor import (
     execute_wire_inline,
 )
 from repro.engine.fingerprint import result_fingerprint
-from repro.engine.jobs import CompileJob, ErrorKind, JobResult, Outcome
+from repro.engine.jobs import (
+    CompileJob,
+    ErrorKind,
+    JobResult,
+    Outcome,
+    is_job_key,
+)
 from repro.obs import spans as obs
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -73,6 +81,8 @@ class JobRecord:
     status: JobStatus
     submitted_at: float
     result: JobResult | None = None
+    # result_fingerprint of an OK result, computed once by finish().
+    fingerprint: str = ""
     # The submitting request's span context (None when tracing is off
     # or the submission came from outside any span): the ``serve.job``
     # span parents under it, stitching the job into the caller's trace.
@@ -87,6 +97,12 @@ class JobRecord:
     # asyncio.Event and sets the old one, so any number of streamers can
     # wait race-free on the instance they grabbed.
     update: asyncio.Event = dataclasses.field(default_factory=asyncio.Event)
+
+    def finish(self, result: JobResult) -> None:
+        """Attach the terminal result and fingerprint it, once."""
+        self.result = result
+        self.fingerprint = result_fingerprint(result.result) if result.ok else ""
+        self.status = JobStatus.DONE
 
     def to_payload(self) -> dict:
         """JSON-ready status document (the ``GET /jobs/<key>`` body)."""
@@ -107,7 +123,7 @@ class JobRecord:
                 payload["ii"] = res.result.ii
                 payload["mii"] = res.result.mii
                 payload["scheme"] = res.result.scheme_name
-                payload["fingerprint"] = result_fingerprint(res.result)
+                payload["fingerprint"] = self.fingerprint
             if res.error:
                 payload["error"] = res.error
                 payload["error_kind"] = res.error_kind.value
@@ -150,6 +166,11 @@ class JobManager:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._scoped = self.metrics.scoped("serve")
         self.records: dict[str, JobRecord] = {}
+        # sha256 of a request body -> the key whose record that body's
+        # submission created. Only creating submissions write here, and
+        # records are never evicted, so it holds at most one entry per
+        # record.
+        self.body_keys: dict[str, str] = {}
         self._tasks: set[asyncio.Task] = set()
         self._pool: Executor
         if executor == "process":
@@ -164,74 +185,103 @@ class JobManager:
     # -- submission ------------------------------------------------------
 
     def lookup(self, key: str) -> JobRecord | None:
-        """The record for ``key``, materializing cache-only hits."""
+        """The record for ``key``, materializing cache-only hits.
+
+        None for an unknown key, and for anything that is not a content
+        hash (a path fragment arriving in a URL, say) before any lookup.
+        """
+        if not is_job_key(key):
+            return None
         record = self.records.get(key)
         if record is not None:
             return record
         cached = self.cache.get(key)
         if cached is None:
             return None
-        return self._record_cache_hit(key, tag="", client="", wire=None, result=cached)
+        return self._record_cache_hit(key, tag="", client="", result=cached)
+
+    def resubmit(self, body_digest: str) -> JobRecord | None:
+        """The record created by a submission whose request body had
+        sha256 ``body_digest``, counted as a dedupe.
+
+        None when no such body created a record: the caller decodes the
+        body and calls :meth:`submit`.
+        """
+        key = self.body_keys.get(body_digest)
+        return self._dedupe(key) if key is not None else None
 
     def submit(
-        self, job: CompileJob, client: str = ""
-    ) -> tuple[JobRecord | None, AdmissionDecision]:
-        """Submit one job; returns (record, decision).
+        self, job: CompileJob, client: str = "", body_digest: str | None = None
+    ) -> tuple[JobRecord | None, AdmissionDecision, bool]:
+        """Submit one job; returns (record, decision, existed).
 
         ``record`` is None exactly when admission refused (the decision
         carries the reason and back-off hint). Duplicate submissions and
         cache hits are always accepted — they cost no compile slot.
+        ``existed`` is True when the key already had a record. A
+        submission that creates the record remembers ``body_digest``
+        (the sha256 of the request body ``job`` was decoded from) for
+        :meth:`resubmit`.
         """
-        key = job.content_hash()
+        key, wire = job.keyed_wire()
+        record = self._dedupe(key)
+        if record is not None:
+            return record, AdmissionDecision(True), True
+        cached = self.cache.get(key)
+        if cached is not None:
+            decision = AdmissionDecision(True)
+            record = self._record_cache_hit(
+                key, tag=job.tag, client=client, result=cached
+            )
+        else:
+            decision = self.admission.admit(client)
+            if not decision.admitted:
+                return None, decision, False
+            ctx = obs.current_context()
+            record = JobRecord(
+                key=key,
+                tag=job.tag,
+                client=client,
+                wire=wire,
+                status=JobStatus.QUEUED,
+                submitted_at=time.time(),
+                ctx=ctx,
+                trace=ctx.trace_id if ctx else "",
+                span=ctx.span_id if ctx else 0,
+            )
+            self.records[key] = record
+            self._scoped.counter("submitted").inc()
+            task = asyncio.get_running_loop().create_task(self._run(record))
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
+        if body_digest is not None:
+            self.body_keys[body_digest] = key
+        return record, decision, False
+
+    def _dedupe(self, key: str) -> JobRecord | None:
+        """The existing record for ``key``, counted as a dedupe."""
         record = self.records.get(key)
         if record is not None:
             self._scoped.counter("deduped").inc()
-            return record, AdmissionDecision(True)
-        cached = self.cache.get(key)
-        if cached is not None:
-            record = self._record_cache_hit(
-                key, tag=job.tag, client=client, wire=None, result=cached
-            )
-            return record, AdmissionDecision(True)
-        decision = self.admission.admit(client)
-        if not decision.admitted:
-            return None, decision
-        ctx = obs.current_context()
-        record = JobRecord(
-            key=key,
-            tag=job.tag,
-            client=client,
-            wire=job.to_wire(),
-            status=JobStatus.QUEUED,
-            submitted_at=time.time(),
-            ctx=ctx,
-            trace=ctx.trace_id if ctx else "",
-            span=ctx.span_id if ctx else 0,
-        )
-        self.records[key] = record
-        self._scoped.counter("submitted").inc()
-        task = asyncio.get_running_loop().create_task(self._run(record))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return record, decision
+        return record
 
     def _record_cache_hit(
-        self, key: str, tag: str, client: str, wire, result
+        self, key: str, tag: str, client: str, result
     ) -> JobRecord:
         ctx = obs.current_context()
         record = JobRecord(
             key=key,
             tag=tag,
             client=client,
-            wire=wire,
+            wire=None,
             status=JobStatus.DONE,
             submitted_at=time.time(),
-            result=JobResult(
-                key=key, tag=tag, outcome=Outcome.OK, result=result, cached=True
-            ),
             ctx=ctx,
             trace=ctx.trace_id if ctx else "",
             span=ctx.span_id if ctx else 0,
+        )
+        record.finish(
+            JobResult(key=key, tag=tag, outcome=Outcome.OK, result=result, cached=True)
         )
         self.records[key] = record
         self._scoped.counter("cache_hits").inc()
@@ -303,8 +353,7 @@ class JobManager:
             result.spans = []
         if result.ok:
             self.cache.put(record.key, result.result)
-        record.result = result
-        record.status = JobStatus.DONE
+        record.finish(result)
         self._scoped.counter("compiled").inc()
         self._scoped.histogram("job_seconds").observe(result.duration)
         job_span.set(outcome=result.outcome.value)

@@ -9,7 +9,9 @@ install. Endpoints:
   :meth:`CompileJob.to_wire`) or by key (``{"key": "<sha256>"}``,
   which only completes against the result cache). Returns the job
   status document; 202 when queued, 200 when already known/cached,
-  429 + ``Retry-After`` under backpressure, 503 while draining.
+  429 + ``Retry-After`` under backpressure, 503 while draining. A body
+  byte-identical to the one that created a job's record is answered
+  from the record without being decoded.
 * ``GET /jobs/<key>`` — poll one job's status/result summary (the
   summary carries the result's semantic fingerprint so clients can
   assert equivalence with a local compile).
@@ -21,6 +23,9 @@ install. Endpoints:
 * ``GET /metrics`` — the same registry in Prometheus text exposition
   format (see :mod:`repro.obs.prometheus`), scrapable by any
   Prometheus-compatible collector.
+
+A key that is not a content hash (64 lowercase hex characters) is
+answered 404 wherever one is accepted, before anything is looked up.
 
 Every request runs under a ``serve.request`` span; when the caller
 sent a ``traceparent`` header (see :mod:`repro.obs.propagate`) the
@@ -42,12 +47,14 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import hashlib
 import json
 import pathlib
 import time
 
 from repro.engine.cache import ResultCache, cache_root
 from repro.engine.events import EventBus
+from repro.engine.jobs import CompileJob
 from repro.obs import spans as obs
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -285,6 +292,11 @@ class ServeServer:
     async def _submit(
         self, body: bytes, client: str, writer: asyncio.StreamWriter
     ) -> int:
+        # The body that created a record is answered from it undecoded.
+        body_digest = hashlib.sha256(body).hexdigest()
+        record = self.manager.resubmit(body_digest)
+        if record is not None:
+            return await _respond(writer, 200, record.to_payload())
         try:
             payload = json.loads(body.decode("utf-8"))
             if not isinstance(payload, dict):
@@ -292,7 +304,7 @@ class ServeServer:
         except (ValueError, UnicodeDecodeError) as exc:
             return await _respond(writer, 400, {"error": f"bad JSON body: {exc}"})
         if "key" in payload and "job" not in payload:
-            record = self.manager.lookup(str(payload["key"]))
+            record = self.manager.lookup(payload["key"])
             if record is None:
                 return await _respond(
                     writer,
@@ -301,15 +313,14 @@ class ServeServer:
                 )
             return await _respond(writer, 200, record.to_payload())
         try:
-            from repro.engine.jobs import CompileJob
-
             job = CompileJob.from_wire(payload["job"])
         except Exception as exc:
             return await _respond(
                 writer, 400, {"error": f"bad job payload: {type(exc).__name__}: {exc}"}
             )
-        existed = job.content_hash() in self.manager.records
-        record, decision = self.manager.submit(job, client=client)
+        record, decision, existed = self.manager.submit(
+            job, client=client, body_digest=body_digest
+        )
         if record is None:
             return await _respond(
                 writer,

@@ -100,6 +100,31 @@ class TestCorruptionTolerance:
         assert store.get(key) is None
 
 
+class TestKeyForm:
+    @pytest.mark.parametrize(
+        "key", ["../victim", "0" * 63, "A" * 64, "0" * 64 + "/x", ""]
+    )
+    def test_malformed_key_is_a_miss_that_touches_no_file(
+        self, tmp_path, compiled, key
+    ):
+        """``root / key[:2] / f"{key}.pkl"`` with key ``../victim`` is
+        ``<tmp>/victim.pkl`` for the root ``<tmp>/a/cache``."""
+        victim = tmp_path / "victim.pkl"
+        victim.write_bytes(b"not a cache entry")
+        root = tmp_path / "a" / "cache"
+        root.mkdir(parents=True)  # ".." resolves only through a real directory
+        store = ResultCache(root=root, enabled=True)
+        assert store.get(key) is None
+        assert store.stats().misses == 1
+        assert victim.read_bytes() == b"not a cache entry"
+        with pytest.raises(ValueError):
+            store.put(key, compiled[1])
+        with pytest.raises(ValueError):
+            store.path_for(key)
+        assert victim.read_bytes() == b"not a cache entry"
+        assert sorted(tmp_path.rglob("*")) == sorted([tmp_path / "a", root, victim])
+
+
 class TestEnvironmentKnobs:
     def test_cache_off_switch(self, monkeypatch):
         monkeypatch.setenv(cache_mod.CACHE_SWITCH_ENV, "off")
