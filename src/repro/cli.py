@@ -9,9 +9,8 @@ Commands:
   profile-weighted IPC under baseline and replication.
 * ``bench`` — run a benchmark x machine x scheme matrix through the
   parallel engine (persistent cache, ``--jobs N`` fan-out) and print a
-  summary table plus the cache hit-rate; ``--check BASELINE.json``
-  diffs the run against a committed baseline and exits nonzero on
-  regression.
+  summary table plus the cache hit-rate; exits 1 when any job ends in
+  an error or a timeout.
 * ``dot`` — emit Graphviz DOT for a loop (optionally partitioned).
 * ``trace`` — record a traced run of any other command, or analyse
   existing trace files: flame summaries, per-stage histograms, trace
@@ -221,41 +220,6 @@ def _stage_breakdown(results) -> dict[str, float]:
     return totals
 
 
-def _percentile(values: list[float], q: float) -> float:
-    """Linearly interpolated percentile of a non-empty sample."""
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = q / 100.0 * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
-
-
-def _stage_percentiles(results) -> dict[str, dict[str, float]]:
-    """Per-stage p50/p95 wall time across loops (one sample per job).
-
-    The totals in :func:`_stage_breakdown` show where the aggregate
-    time went; the percentiles show the *distribution* per compiled
-    loop, so a regression on the slow tail is visible without rerunning
-    under a profiler.
-    """
-    samples: dict[str, list[float]] = {}
-    for res in results:
-        if res.ok and res.result.diagnostics is not None:
-            for stage, seconds in res.result.diagnostics.stage_seconds.items():
-                samples.setdefault(stage, []).append(seconds)
-    return {
-        stage: {
-            "samples": len(values),
-            "p50_seconds": _percentile(values, 50.0),
-            "p95_seconds": _percentile(values, 95.0),
-        }
-        for stage, values in samples.items()
-    }
-
-
 #: Diagnostics counters that are rates, not additive totals — the bench
 #: aggregation recomputes them from the summed raw counts instead.
 #: (Names are ``<stage>.<counter>`` since the obs metrics registry
@@ -315,13 +279,18 @@ def _counter_totals(results) -> dict[str, float]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark x machine x scheme matrix through the batch engine."""
+    """Benchmark x machine x scheme matrix through the batch engine.
+
+    Exits 1 when any job ends in ERROR or TIMEOUT: every loop of the
+    matrix must keep compiling.
+    """
     import json
 
     from repro.engine.cache import ResultCache, default_cache
-    from repro.engine.events import EventBus, JsonlSink, StderrProgressSink
+    from repro.engine.events import EventBus, StderrProgressSink
     from repro.engine.executor import EngineConfig, run_jobs
     from repro.engine.jobs import CompileJob, Outcome
+    from repro.obs.export import JsonlExporter
     from repro.pipeline.experiments import configured_limit
     from repro.workloads.specfp import benchmark_loops as suite_loops
 
@@ -353,7 +322,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not args.quiet:
         sinks.append(StderrProgressSink(total=len(jobs)))
     if args.events:
-        sinks.append(JsonlSink(args.events))
+        sinks.append(JsonlExporter(args.events))
     bus = EventBus(sinks)
     config = EngineConfig(jobs=args.jobs, timeout=args.timeout, cache=cache)
 
@@ -391,7 +360,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     hit_rate = hits / len(results) if results else 0.0
     stage_totals = _stage_breakdown(results)
     stage_sum = sum(stage_totals.values()) or 1.0
-    stage_pcts = _stage_percentiles(results)
     counter_totals = _counter_totals(results)
 
     stats = cache.stats() if cache.enabled else None
@@ -423,9 +391,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             stage: {
                 "seconds": round(seconds, 6),
                 "share": round(seconds / stage_sum, 6),
-                "samples": stage_pcts[stage]["samples"],
-                "p50_seconds": round(stage_pcts[stage]["p50_seconds"], 6),
-                "p95_seconds": round(stage_pcts[stage]["p95_seconds"], 6),
             }
             for stage, seconds in sorted(
                 stage_totals.items(), key=lambda kv: -kv[1]
@@ -448,7 +413,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return _bench_check(args, payload)
+        return 1 if failures else 0
 
     print(
         format_table(
@@ -461,15 +426,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if stage_totals:
         print(
             format_table(
-                ["stage", "seconds", "share %", "p50 ms", "p95 ms"],
+                ["stage", "seconds", "share %"],
                 [
-                    [
-                        stage,
-                        seconds,
-                        100.0 * seconds / stage_sum,
-                        1e3 * stage_pcts[stage]["p50_seconds"],
-                        1e3 * stage_pcts[stage]["p95_seconds"],
-                    ]
+                    [stage, seconds, 100.0 * seconds / stage_sum]
                     for stage, seconds in sorted(
                         stage_totals.items(), key=lambda kv: -kv[1]
                     )
@@ -504,35 +463,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"  {res.tag}: [{res.outcome.value}{kind}] {res.error}")
         if len(failures) > 10:
             print(f"  ... and {len(failures) - 10} more")
-    return _bench_check(args, payload)
-
-
-def _bench_check(args: argparse.Namespace, payload: dict) -> int:
-    """Gate the bench payload against ``--check BASELINE`` (if given).
-
-    Prints the delta table and returns 1 on regression, 0 otherwise
-    (including when no baseline was requested).
-    """
-    if not getattr(args, "check", None):
-        return 0
-    import json
-
-    from repro.pipeline.regression import compare_bench
-
-    with open(args.check, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    report = compare_bench(payload, baseline, tolerance=args.tolerance / 100.0)
-    # Keep stdout pure JSON in --format json; the table goes to stderr.
-    out = sys.stderr if args.format == "json" else sys.stdout
-    print(report.table(), file=out)
-    if report.ok:
-        print(f"bench check vs {args.check}: OK", file=out)
-        return 0
-    print(
-        f"bench check vs {args.check}: {len(report.regressions)} regression(s)",
-        file=sys.stderr,
-    )
-    return 1
+    return 1 if failures else 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -617,11 +548,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def _serve() -> None:
-        from repro.engine.events import EventBus, JsonlSink
+        from repro.engine.events import EventBus
+        from repro.obs.export import JsonlExporter
         from repro.obs.log import get_logger
 
         log = get_logger("serve")
-        bus = EventBus([JsonlSink(args.events)]) if args.events else None
+        bus = EventBus([JsonlExporter(args.events)]) if args.events else None
         cache, _admission, manager, _metrics = build_service(config, bus=bus)
         server = ServeServer(manager, cache, host=config.host, port=config.port)
         await server.start()
@@ -844,21 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="output format: human tables or one JSON document",
-    )
-    p.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="diff this run against a bench JSON baseline "
-        "(e.g. BENCH_pr8.json); exit 1 on regression",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=20.0,
-        metavar="PCT",
-        help="allowed relative slowdown / IPC drop for --check "
-        "(percent, default: 20)",
     )
     p.set_defaults(func=cmd_bench)
 

@@ -25,7 +25,6 @@ from repro.engine.events import (
     Event,
     EventBus,
     EventKind,
-    JsonlSink,
     StderrProgressSink,
 )
 from repro.engine.executor import EngineConfig, run_jobs
@@ -47,7 +46,6 @@ __all__ = [
     "EventBus",
     "EventKind",
     "JobResult",
-    "JsonlSink",
     "Outcome",
     "ResultCache",
     "StderrProgressSink",

@@ -2,28 +2,25 @@
 
 The executor emits one :class:`Event` per job transition (started,
 finished, cache hit, timeout, error) to an :class:`EventBus`, which
-fans out to pluggable sinks. Since the :mod:`repro.obs` layer landed,
-a :class:`Sink` is a thin adapter over the shared
-:class:`repro.obs.export.Exporter` interface — event sinks and span
-exporters share one fan-out (:class:`repro.obs.export.ExportPipeline`)
-and one failure policy — while ``Event``/``EventKind`` remain the
-stable public API. Two sinks ship with the engine:
+fans out to :class:`repro.obs.export.Exporter` instances through the
+shared :class:`repro.obs.export.ExportPipeline` — event consumers and
+span exporters are one interface with one failure policy, while
+``Event``/``EventKind`` remain the stable public API. Besides the
+exporters in :mod:`repro.obs.export` (``JsonlExporter`` writes one
+``{"type": "event", ...}`` line per event; ``InMemoryExporter`` keeps
+them), the engine ships :class:`StderrProgressSink`: a single
+self-overwriting progress line
+(``[ 42/678] 30 cached ... 12.3s 6.1 jobs/s su2cor/loop_17``) for
+interactive runs.
 
-* :class:`StderrProgressSink` — a single self-overwriting progress
-  line (``[ 42/678] 30 cached ... 12.3s 6.1 jobs/s su2cor/loop_17``)
-  suitable for interactive runs;
-* :class:`JsonlSink` — one JSON object per event, append-only, for
-  machine consumption and post-mortems.
-
-Sinks must never break a run: the bus swallows (and counts) sink
-exceptions.
+Consumers must never break a run: the bus swallows (and counts)
+exporter exceptions.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import sys
 import time
 from collections.abc import Iterable
@@ -104,32 +101,13 @@ class Event:
         return data
 
 
-class Sink(Exporter):
-    """Event consumer interface (subclass and override :meth:`emit`).
-
-    Adapter over the observability exporter: ``export_event`` delegates
-    to :meth:`emit`, so any ``Sink`` plugs into an
-    :class:`~repro.obs.export.ExportPipeline` unchanged, and any
-    :class:`~repro.obs.export.Exporter` can consume engine events.
-    """
-
-    def emit(self, event: Event) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def export_event(self, event: Event) -> None:
-        self.emit(event)
-
-    def close(self) -> None:
-        """Flush/teardown; called once at the end of a run."""
-
-
 #: Kinds that terminate a job (used for progress accounting).
 TERMINAL_KINDS = frozenset(
     {EventKind.FINISHED, EventKind.CACHE_HIT, EventKind.TIMEOUT, EventKind.ERROR}
 )
 
 
-class StderrProgressSink(Sink):
+class StderrProgressSink(Exporter):
     """Single-line live progress on stderr.
 
     The line carries completion counts plus elapsed wall time and
@@ -151,7 +129,7 @@ class StderrProgressSink(Sink):
         self.timeouts = 0
         self.started_at: float | None = None
 
-    def emit(self, event: Event) -> None:
+    def export_event(self, event: Event) -> None:
         if self.started_at is None:
             self.started_at = time.monotonic()
         if event.kind not in TERMINAL_KINDS:
@@ -181,31 +159,6 @@ class StderrProgressSink(Sink):
             self.stream.flush()
 
 
-class JsonlSink(Sink):
-    """Append events as JSON lines to a file."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = open(path, "a", encoding="utf-8")
-
-    def emit(self, event: Event) -> None:
-        self._handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-
-    def close(self) -> None:
-        self._handle.flush()
-        self._handle.close()
-
-
-class CollectingSink(Sink):
-    """Keep every event in memory (tests, programmatic consumers)."""
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def emit(self, event: Event) -> None:
-        self.events.append(event)
-
-
 class EventBus:
     """Fan events out to sinks; a broken sink never breaks the run.
 
@@ -224,7 +177,7 @@ class EventBus:
 
     @property
     def dropped(self) -> int:
-        """Sink exceptions swallowed so far (emit and close)."""
+        """Exporter exceptions swallowed so far (emit and close)."""
         return self.pipeline.dropped
 
     def emit(self, event: Event) -> None:

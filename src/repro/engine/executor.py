@@ -270,12 +270,17 @@ def run_jobs(
     timeout = config.resolved_timeout()
     workers = config.resolved_jobs()
 
-    keys = [job.content_hash() for job in jobs]
+    keys: list[str] = []
+    # One DDG encode per job gives its key and, for the pool, its wire;
+    # wires are kept for pending jobs only.
+    wires: dict[int, dict] = {}
     results: list[JobResult | None] = [None] * len(jobs)
 
     with obs.span("engine.run_jobs", jobs=len(jobs), workers=workers) as batch:
         pending: list[int] = []
-        for index, (job, key) in enumerate(zip(jobs, keys)):
+        for index, job in enumerate(jobs):
+            key, wire = job.keyed_wire()
+            keys.append(key)
             cached = cache.get(key)
             if cached is not None:
                 results[index] = JobResult(
@@ -288,6 +293,8 @@ def run_jobs(
                 bus.emit(_event_for(results[index]))
             else:
                 pending.append(index)
+                if workers > 1:
+                    wires[index] = wire
         batch.set(cache_hits=len(jobs) - len(pending))
 
         if pending and workers <= 1:
@@ -307,6 +314,7 @@ def run_jobs(
             _run_pool(
                 jobs,
                 keys,
+                wires,
                 pending,
                 results,
                 workers,
@@ -336,6 +344,7 @@ def run_jobs(
 def _run_pool(
     jobs: list[CompileJob],
     keys: list[str],
+    wires: dict[int, dict],
     pending: list[int],
     results: list[JobResult | None],
     workers: int,
@@ -365,7 +374,7 @@ def _run_pool(
                 )
                 futures[index] = pool.submit(
                     _execute_wire,
-                    jobs[index].to_wire(),
+                    wires[index],
                     keys[index],
                     timeout,
                     traceparent,

@@ -5,14 +5,17 @@ the repository produces:
 
 * **spans** from :mod:`repro.obs.spans` (``export_span``), and
 * **engine events** from :mod:`repro.engine.events` (``export_event``)
-  — the engine's ``Sink`` is a thin adapter over this class, so event
-  sinks and span exporters share one fan-out and one failure policy.
+  — the engine's ``EventBus`` fans out to exporters, so event
+  consumers and span exporters share one fan-out and one failure policy.
 
 Three concrete exporters ship here: :class:`InMemoryExporter` (tests
 and programmatic consumers), :class:`JsonlExporter` (one JSON object
 per record, append-only), and the Chrome trace-event writer
 (:func:`chrome_trace` / :func:`write_chrome_trace`), whose output loads
 directly into ``chrome://tracing`` or https://ui.perfetto.dev.
+:func:`jsonl_line` is the repository's one JSONL encoder: the trace and
+event files, ``REPRO_LOG`` records and the server's NDJSON event stream
+all write their lines through it.
 
 Exporters must never break the run they observe: the
 :class:`ExportPipeline` fan-out swallows (and counts) exporter
@@ -22,6 +25,11 @@ exceptions, mirroring the engine's historical ``EventBus`` contract.
 from __future__ import annotations
 
 import json
+
+
+def jsonl_line(record: dict) -> str:
+    """``record`` as one JSON Lines line: sorted keys, trailing newline."""
+    return json.dumps(record, sort_keys=True) + "\n"
 
 
 def _wire(span) -> dict:
@@ -103,7 +111,7 @@ class JsonlExporter(Exporter):
         self._handle = open(path, "a", encoding="utf-8")
 
     def _write(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._handle.write(jsonl_line(record))
 
     def export_span(self, span) -> None:
         self._write({"type": "span", **_wire(span)})

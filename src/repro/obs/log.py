@@ -24,12 +24,12 @@ path that is never hot.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 
 from repro.obs import spans
+from repro.obs.export import jsonl_line
 
 #: Output mode: ``off`` | ``text`` (default) | ``json`` | a file path.
 LOG_ENV = "REPRO_LOG"
@@ -74,7 +74,7 @@ class Logger:
 
     def _emit(self, mode: str, record: dict) -> None:
         if mode == "json":
-            print(json.dumps(record, sort_keys=True), file=sys.stderr)
+            sys.stderr.write(jsonl_line(record))
         elif mode == "text":
             extras = " ".join(
                 f"{key}={record[key]}"
@@ -86,9 +86,9 @@ class Logger:
         else:
             try:
                 with open(mode, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+                    handle.write(jsonl_line(record))
             except OSError:
-                print(json.dumps(record, sort_keys=True), file=sys.stderr)
+                sys.stderr.write(jsonl_line(record))
 
     def debug(self, event: str, **fields) -> dict | None:
         return self.log("debug", event, **fields)

@@ -32,6 +32,38 @@ import threading
 LOG_SECONDS_BOUNDS: tuple[float, ...] = tuple(1e-6 * 4**i for i in range(17))
 
 
+def bucket_quantile(
+    bounds, counts, q: float, low: float, high: float
+) -> float:
+    """Quantile ``q`` of a bucket vector, interpolated in its bucket.
+
+    ``counts[i]`` counts observations in ``(bounds[i-1], bounds[i]]``;
+    an optional final slot is the overflow bucket above ``bounds[-1]``.
+    The covering bucket is the one holding the ``max(1, ceil(q * total))``-th
+    smallest observation; the result interpolates linearly between its lower and
+    upper edge, then is clamped to ``[low, high]``. ``low`` stands in
+    for the first bucket's lower edge and ``high`` for the overflow
+    bucket's upper edge. An empty vector gives 0.0.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1]")
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    target = q * total
+    running = 0
+    for index, bucket in enumerate(counts):
+        if bucket and running + bucket >= target:
+            lower = bounds[index - 1] if index else low
+            upper = bounds[index] if index < len(bounds) else high
+            fraction = (target - running) / bucket
+            # min(): rounding must not carry the value past the edge.
+            value = min(upper, lower + (upper - lower) * fraction)
+            return max(low, min(value, high))
+        running += bucket
+    return high
+
+
 class Counter:
     """A monotonically increasing total."""
 
@@ -66,8 +98,8 @@ class Histogram:
 
     ``counts[i]`` counts observations ``<= bounds[i]``; the final slot
     is the overflow bucket. ``count``/``total``/``min``/``max`` are
-    exact; quantiles are bucket upper-bound approximations clamped to
-    ``[min, max]``.
+    exact; quantiles interpolate within the covering bucket and are
+    clamped to ``[min, max]`` (:func:`bucket_quantile`).
     """
 
     __slots__ = ("name", "bounds", "counts", "count", "total", "min", "max")
@@ -98,24 +130,8 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Approximate quantile: the covering bucket's upper bound.
-
-        Clamped to the exact minimum and maximum, so every quantile lies
-        within the observed range.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        running = 0
-        for index, bucket in enumerate(self.counts):
-            running += bucket
-            if running >= target and bucket:
-                if index < len(self.bounds):
-                    return max(self.min, min(self.bounds[index], self.max))
-                return self.max
-        return self.max
+        """Approximate quantile within the exact ``[min, max]``."""
+        return bucket_quantile(self.bounds, self.counts, q, self.min, self.max)
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram (same bounds) into this one."""

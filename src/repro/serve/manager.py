@@ -99,7 +99,12 @@ class JobRecord:
     update: asyncio.Event = dataclasses.field(default_factory=asyncio.Event)
 
     def finish(self, result: JobResult) -> None:
-        """Attach the terminal result and fingerprint it, once."""
+        """Attach the terminal result and fingerprint it, once.
+
+        Drops the job's wire form: nothing reads it after the compile,
+        and a record outlives its job for as long as the server runs.
+        """
+        self.wire = None
         self.result = result
         self.fingerprint = result_fingerprint(result.result) if result.ok else ""
         self.status = JobStatus.DONE

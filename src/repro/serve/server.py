@@ -56,6 +56,7 @@ from repro.engine.cache import ResultCache, cache_root
 from repro.engine.events import EventBus
 from repro.engine.jobs import CompileJob
 from repro.obs import spans as obs
+from repro.obs.export import jsonl_line
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import render_exposition
@@ -348,8 +349,7 @@ class ServeServer:
             b"\r\n"
         )
         async for event in self.manager.stream_events(key):
-            line = json.dumps(event.to_dict(), sort_keys=True) + "\n"
-            writer.write(line.encode("utf-8"))
+            writer.write(jsonl_line(event.to_dict()).encode("utf-8"))
             await writer.drain()
         return 200
 

@@ -21,6 +21,8 @@ import dataclasses
 import sys
 import time
 
+from repro.obs.metrics import bucket_quantile
+
 #: ANSI: clear screen, cursor home.
 CLEAR = "\x1b[2J\x1b[H"
 
@@ -41,31 +43,6 @@ def fetch_sample(client) -> Sample:
     stats = client.stats()
     exposition = parse_exposition(client.metrics())
     return Sample(at=time.monotonic(), stats=stats, exposition=exposition)
-
-
-def percentile_from_buckets(
-    bounds: list[float], counts: list[int], q: float
-) -> float:
-    """Approximate quantile of a (non-cumulative) bucket vector.
-
-    Returns the upper bound of the covering bucket — the approximation
-    :meth:`repro.obs.metrics.Histogram.quantile` makes before capping at
-    the exact maximum, which bucket deltas do not carry. ``counts`` may include
-    the overflow slot (one longer than ``bounds``); the overflow
-    quantile reports the largest finite bound.
-    """
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    target = q * total
-    running = 0
-    for index, bucket in enumerate(counts):
-        running += bucket
-        if running >= target and bucket:
-            if index < len(bounds):
-                return bounds[index]
-            return bounds[-1] if bounds else 0.0
-    return bounds[-1] if bounds else 0.0
 
 
 def _histogram(stats: dict, name: str) -> dict | None:
@@ -160,8 +137,10 @@ def render_dashboard(
             else None
         )
         bounds, window = _delta_counts(request_seconds, previous_hist)
-        p50 = percentile_from_buckets(bounds, window, 0.50)
-        p95 = percentile_from_buckets(bounds, window, 0.95)
+        # Deltas carry no min or max: clamp to [0, largest finite bound].
+        high = bounds[-1] if bounds else 0.0
+        p50 = bucket_quantile(bounds, window, 0.50, 0.0, high)
+        p95 = bucket_quantile(bounds, window, 0.95, 0.0, high)
         scope = "window" if previous_hist is not None else "lifetime"
         lines.append(
             f"  latency      p50 {_format_seconds(p50)}  "

@@ -1,18 +1,15 @@
-"""Structured events and sinks."""
+"""Structured events, the progress line and the event bus."""
 
 import io
-import json
 import re
 
 from repro.engine.events import (
-    CollectingSink,
     Event,
     EventBus,
     EventKind,
-    JsonlSink,
-    Sink,
     StderrProgressSink,
 )
+from repro.obs.export import Exporter, InMemoryExporter
 
 
 def event(kind=EventKind.FINISHED, **kwargs):
@@ -21,39 +18,15 @@ def event(kind=EventKind.FINISHED, **kwargs):
     return Event(**defaults)
 
 
-class TestJsonlSink:
-    def test_lines_are_parseable_json(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        sink = JsonlSink(str(path))
-        sink.emit(event(duration=1.25, ii=4, mii=3))
-        sink.emit(event(EventKind.ERROR, error="unschedulable"))
-        sink.close()
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        first, second = (json.loads(line) for line in lines)
-        assert first["kind"] == "finished"
-        assert first["ii"] == 4 and first["mii"] == 3
-        assert second["kind"] == "error"
-        assert second["error"] == "unschedulable"
-
-    def test_appends_across_instances(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        for _ in range(2):
-            sink = JsonlSink(str(path))
-            sink.emit(event())
-            sink.close()
-        assert len(path.read_text().strip().splitlines()) == 2
-
-
 class TestStderrProgressSink:
     def test_counts_terminal_events(self):
         stream = io.StringIO()
         sink = StderrProgressSink(total=4, stream=stream)
-        sink.emit(event(EventKind.STARTED))  # ignored: not terminal
-        sink.emit(event(EventKind.FINISHED))
-        sink.emit(event(EventKind.CACHE_HIT))
-        sink.emit(event(EventKind.ERROR))
-        sink.emit(event(EventKind.TIMEOUT))
+        sink.export_event(event(EventKind.STARTED))  # ignored: not terminal
+        sink.export_event(event(EventKind.FINISHED))
+        sink.export_event(event(EventKind.CACHE_HIT))
+        sink.export_event(event(EventKind.ERROR))
+        sink.export_event(event(EventKind.TIMEOUT))
         sink.close()
         assert sink.done == 4
         assert sink.hits == 1 and sink.failed == 1 and sink.timeouts == 1
@@ -64,8 +37,8 @@ class TestStderrProgressSink:
     def test_line_reports_elapsed_and_throughput(self):
         stream = io.StringIO()
         sink = StderrProgressSink(total=2, stream=stream)
-        sink.emit(event(EventKind.FINISHED))
-        sink.emit(event(EventKind.FINISHED))
+        sink.export_event(event(EventKind.FINISHED))
+        sink.export_event(event(EventKind.FINISHED))
         sink.close()
         out = stream.getvalue()
         assert sink.started_at is not None
@@ -79,21 +52,21 @@ class TestStderrProgressSink:
         )
         stream = io.StringIO()
         sink = StderrProgressSink(total=2, stream=stream)
-        sink.emit(event(EventKind.FINISHED))  # starts the clock at 100
-        sink.emit(event(EventKind.FINISHED))  # emitted at 102 -> 2.0s
+        sink.export_event(event(EventKind.FINISHED))  # starts the clock at 100
+        sink.export_event(event(EventKind.FINISHED))  # emitted at 102 -> 2.0s
         assert "2.0s 1.0 jobs/s" in stream.getvalue()
 
 
 class TestEventBus:
     def test_broken_sink_never_breaks_the_run(self):
-        class Exploding(Sink):
-            def emit(self, _):
+        class Exploding(Exporter):
+            def export_event(self, _):
                 raise RuntimeError("boom")
 
             def close(self):
                 raise RuntimeError("boom")
 
-        good = CollectingSink()
+        good = InMemoryExporter()
         bus = EventBus([Exploding(), good])
         bus.emit(event())
         bus.close()
@@ -101,6 +74,6 @@ class TestEventBus:
         assert bus.dropped == 2  # one emit + one close failure
 
     def test_timestamps_are_stamped(self):
-        sink = CollectingSink()
+        sink = InMemoryExporter()
         EventBus([sink]).emit(event())
         assert sink.events[0].timestamp > 0

@@ -7,9 +7,10 @@ import pytest
 
 from repro.engine import jobs as jobs_mod
 from repro.engine.cache import ResultCache
-from repro.engine.events import CollectingSink, EventBus, EventKind
+from repro.engine.events import EventBus, EventKind
 from repro.engine.executor import EngineConfig, configured_jobs, run_jobs
 from repro.engine.jobs import CompileJob, Outcome
+from repro.obs.export import InMemoryExporter
 from repro.pipeline.driver import Scheme, compile_loop
 from repro.pipeline.metrics import loop_metrics
 from repro.workloads.specfp import benchmark_loops
@@ -67,6 +68,25 @@ class TestSerialParity:
         assert [r.tag for r in results] == [j.tag for j in jobs]
 
 
+class TestEncoding:
+    def test_pool_path_encodes_each_ddg_once(self, monkeypatch):
+        """The key and the worker's wire come from one DDG encode."""
+        from repro.ddg import io as ddg_io
+
+        encodes = []
+        original = ddg_io.to_dict
+
+        def counted(ddg):
+            encodes.append(ddg)
+            return original(ddg)
+
+        monkeypatch.setattr(ddg_io, "to_dict", counted)
+        _, jobs = suite_jobs("mgrid", limit=3)
+        results = run_jobs(jobs, EngineConfig(jobs=2, cache=no_cache()))
+        assert all(r.ok for r in results)
+        assert len(encodes) == len(jobs)
+
+
 class TestTimeout:
     def test_timeout_records_outcome_and_continues(self, monkeypatch):
         """A stuck job records TIMEOUT; the rest of the batch completes."""
@@ -100,7 +120,7 @@ class TestTimeout:
             jobs_mod, "compile_loop", lambda *a, **k: time.sleep(60.0)
         )
         _, jobs = suite_jobs("mgrid", limit=1)
-        sink = CollectingSink()
+        sink = InMemoryExporter()
         run_jobs(
             jobs,
             EngineConfig(jobs=1, timeout=0.1, cache=no_cache()),
@@ -165,7 +185,7 @@ class TestCacheIntegration:
         _, jobs = suite_jobs("mgrid", limit=1)
         store = ResultCache(root=tmp_path, enabled=True)
         run_jobs(jobs, EngineConfig(jobs=1, cache=store))
-        sink = CollectingSink()
+        sink = InMemoryExporter()
         run_jobs(jobs, EngineConfig(jobs=1, cache=store), EventBus([sink]))
         assert [e.kind for e in sink.events] == [EventKind.CACHE_HIT]
 

@@ -10,10 +10,12 @@ from repro.obs.export import (
     InMemoryExporter,
     JsonlExporter,
     chrome_trace,
+    jsonl_line,
     read_trace,
     write_chrome_trace,
     write_spans,
 )
+from repro.engine.events import Event, EventKind
 from repro.obs.summary import (
     aggregate,
     diff_summary,
@@ -93,6 +95,39 @@ class TestJsonl:
             + "\n\n"
         )
         assert [r["name"] for r in read_trace(str(path))] == ["a"]
+
+
+def event(kind=EventKind.FINISHED, **kwargs):
+    return Event(kind=kind, key="ab" * 32, tag="bench/loop_0", **kwargs)
+
+
+class TestJsonlEvents:
+    def test_lines_are_parseable_json(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        exporter = JsonlExporter(str(path))
+        exporter.export_event(event(duration=1.25, ii=4, mii=3))
+        exporter.export_event(event(EventKind.ERROR, error="unschedulable"))
+        exporter.close()
+        lines = path.read_text().strip().splitlines()
+        assert len(lines) == 2
+        first, second = (json.loads(line) for line in lines)
+        assert first["type"] == second["type"] == "event"
+        assert first["kind"] == "finished"
+        assert first["ii"] == 4 and first["mii"] == 3
+        assert second["kind"] == "error"
+        assert second["error"] == "unschedulable"
+
+    def test_appends_across_instances(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        for _ in range(2):
+            exporter = JsonlExporter(str(path))
+            exporter.export_event(event())
+            exporter.close()
+        assert len(path.read_text().strip().splitlines()) == 2
+
+    def test_one_encoder_for_every_line(self):
+        record = {"b": 1, "a": [1.5, "x"]}
+        assert jsonl_line(record) == '{"a": [1.5, "x"], "b": 1}\n'
 
 
 class TestChrome:

@@ -44,6 +44,12 @@ class TestModes:
             "second",
         ]
 
+    def test_path_mode_lines_are_sorted_key_json(self, monkeypatch, tmp_path):
+        path = tmp_path / "serve.log"
+        monkeypatch.setenv(LOG_ENV, str(path))
+        record = get_logger("serve").info("listening", url="http://x:1", n=2)
+        assert path.read_text() == json.dumps(record, sort_keys=True) + "\n"
+
 
 class TestLevels:
     def test_below_threshold_is_dropped(self, monkeypatch, capsys):

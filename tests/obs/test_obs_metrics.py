@@ -1,9 +1,11 @@
 """Counters, gauges, histograms, and the registry."""
 
+import bisect
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import (
     LOG_SECONDS_BOUNDS,
@@ -12,6 +14,20 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+
+
+def bucket_edges(bounds, value):
+    """(lower, upper) edges of the bucket ``Histogram.observe`` puts
+    ``value`` in; the first and the overflow bucket are open-ended."""
+    index = bisect.bisect_left(bounds, value)
+    lower = bounds[index - 1] if index else -math.inf
+    upper = bounds[index] if index < len(bounds) else math.inf
+    return lower, upper
+
+
+def exact_percentile(ordered, q):
+    """The ``max(1, ceil(q * n))``-th smallest value: the covering one."""
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 class TestCounter:
@@ -52,15 +68,25 @@ class TestHistogram:
         }
         assert ratios == {4}
 
-    def test_quantile_is_a_bucket_upper_bound(self):
+    def test_quantile_interpolates_within_the_bucket(self):
+        h = Histogram("t")
+        for value in (2e-6, 2e-6, 3.5e-6, 3.5e-6):
+            h.observe(value)  # all in the (1e-6, 4e-6] bucket
+        # Halfway through the bucket's count is halfway between its edges.
+        assert h.quantile(0.5) == pytest.approx(2.5e-6)
+        assert h.quantile(0.25) == 2e-6  # 1.75e-6, clamped up to the min
+        assert h.quantile(1.0) == 3.5e-6  # 4e-6, clamped down to the max
+
         h = Histogram("t")
         for _ in range(100):
             h.observe(3e-6)  # lands in the (1e-6, 4e-6] bucket
         h.observe(3e-5)  # lands in the (1.6e-5, 6.4e-5] bucket
-        assert h.quantile(0.5) == 4e-6
+        assert h.quantile(0.5) == 3e-6  # 2.515e-6, clamped up to the min
         assert h.quantile(1.0) == 3e-5  # capped at the observed max
 
     def test_quantile_brackets_the_exact_percentile(self):
+        """The bucket that brackets the exact percentile brackets the
+        quantile too, and every quantile stays inside [min, max]."""
         rng = random.Random(7)
         sample = [rng.lognormvariate(-9.0, 2.0) for _ in range(500)]
         h = Histogram("t")
@@ -69,8 +95,9 @@ class TestHistogram:
         ordered = sorted(sample)
         for step in range(101):
             q = step / 100
-            exact = ordered[max(1, math.ceil(q * len(ordered))) - 1]
-            assert exact <= h.quantile(q) <= max(sample)
+            lower, upper = bucket_edges(h.bounds, exact_percentile(ordered, q))
+            assert lower <= h.quantile(q) <= upper
+            assert min(sample) <= h.quantile(q) <= max(sample)
 
         # All in one bucket, above its lower bound: every quantile stays
         # inside the observed [min, max], through the wire form too.
@@ -82,12 +109,32 @@ class TestHistogram:
         assert h.counts[4] == len(sample)
         assert (h.min, h.max) == (min(sample), max(sample))
         wired = Histogram.from_wire(h.to_wire())
-        ordered = sorted(sample)
+        assert h.quantile(0.0) == min(sample)
         for step in range(101):
             q = step / 100
-            exact = ordered[max(1, math.ceil(q * len(ordered))) - 1]
-            assert min(sample) <= exact <= h.quantile(q) <= max(sample)
+            assert min(sample) <= h.quantile(q) <= max(sample)
             assert wired.quantile(q) == h.quantile(q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=40
+        ),
+        qs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+    )
+    def test_quantile_is_bounded_bucketed_and_monotone(self, values, qs):
+        h = Histogram("t")
+        for value in values:
+            h.observe(value)
+        ordered = sorted(values)
+        previous = -math.inf
+        for q in sorted(qs):
+            got = h.quantile(q)
+            assert h.min <= got <= h.max
+            lower, upper = bucket_edges(h.bounds, exact_percentile(ordered, q))
+            assert lower <= got <= upper
+            assert got >= previous
+            previous = got
 
     def test_quantile_edge_cases(self):
         h = Histogram("t")

@@ -127,6 +127,20 @@ def test_identical_resubmission_skips_decoding(cluster, client, monkeypatch):
     assert len(cluster.manager.body_keys) == entries
 
 
+def test_finished_record_drops_its_wire(cluster, client):
+    job = CompileJob(
+        ddg=figure3_graph(), machine="2c1b2l64r", scheme=Scheme.REPLICATION
+    )
+    body = _body(job)
+    assert _raw(cluster, "POST", "/jobs", body)[0] == 202
+    client.wait(job.content_hash(), timeout=120.0)
+    assert cluster.manager.records[job.content_hash()].wire is None
+    before = _deduped(client)
+    status, payload = _raw(cluster, "POST", "/jobs", body)
+    assert (status, payload["status"]) == (200, "done")
+    assert _deduped(client) == before + 1
+
+
 @pytest.mark.parametrize(
     "body",
     [b"{not json", json.dumps({"job": {"nonsense": True}}).encode("utf-8")],

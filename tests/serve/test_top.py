@@ -2,13 +2,10 @@
 
 import io
 
-from repro.obs.metrics import LOG_SECONDS_BOUNDS
-from repro.serve.top import (
-    Sample,
-    percentile_from_buckets,
-    render_dashboard,
-    run_top,
-)
+import pytest
+
+from repro.obs.metrics import LOG_SECONDS_BOUNDS, bucket_quantile
+from repro.serve.top import Sample, render_dashboard, run_top
 
 
 def _stats(done=10, queued=1, running=2, counts=None, hits=4, misses=6):
@@ -45,21 +42,27 @@ def _sample(at, done=10, counts=None, requests=0.0):
     )
 
 
+def delta_quantile(bounds, counts, q):
+    """What ``repro top`` computes: no min or max, so [0, bounds[-1]]."""
+    return bucket_quantile(bounds, counts, q, 0.0, bounds[-1])
+
+
 class TestPercentiles:
     def test_empty_is_zero(self):
-        assert percentile_from_buckets([0.1, 1.0], [0, 0, 0], 0.5) == 0.0
+        assert delta_quantile([0.1, 1.0], [0, 0, 0], 0.5) == 0.0
 
     def test_single_bucket(self):
-        assert percentile_from_buckets([0.1, 1.0], [0, 5, 0], 0.5) == 1.0
+        # Halfway through the (0.1, 1.0] bucket's count.
+        assert delta_quantile([0.1, 1.0], [0, 5, 0], 0.5) == pytest.approx(0.55)
 
     def test_spread(self):
         bounds = [0.001, 0.01, 0.1]
         counts = [50, 40, 10, 0]  # overflow slot empty
-        assert percentile_from_buckets(bounds, counts, 0.50) == 0.001
-        assert percentile_from_buckets(bounds, counts, 0.95) == 0.1
+        assert delta_quantile(bounds, counts, 0.50) == 0.001
+        assert delta_quantile(bounds, counts, 0.95) == pytest.approx(0.055)
 
     def test_overflow_reports_last_finite_bound(self):
-        assert percentile_from_buckets([0.1], [0, 9], 0.5) == 0.1
+        assert delta_quantile([0.1], [0, 9], 0.5) == 0.1
 
 
 class TestRender:

@@ -156,9 +156,30 @@ class TestBench:
         for stage in stages.values():
             assert stage["seconds"] >= 0.0
             assert 0.0 <= stage["share"] <= 1.0
-            assert stage["samples"] == 2
-            assert 0.0 <= stage["p50_seconds"] <= stage["p95_seconds"]
         assert payload["failures"] == []
+
+    def test_failed_job_exits_nonzero_and_is_listed(self, capsys, monkeypatch):
+        from repro.engine import jobs as jobs_mod
+        from repro.pipeline import CompileError
+
+        def fail(*args, **kwargs):
+            raise CompileError("no schedule found")
+
+        monkeypatch.setattr(jobs_mod, "compile_loop", fail)
+        argv = ["bench", "--benchmark", "mgrid", "--machine", "2c1b2l64r",
+                "--limit", "1", "--jobs", "1", "--scheme", "baseline",
+                "--quiet", "--no-cache"]
+        assert main(argv + ["--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cells"][0]["failed"] == 1
+        [failure] = payload["failures"]
+        assert failure["tag"].startswith("mgrid/")
+        assert failure["outcome"] == "error"
+        assert failure["error"] == "no schedule found"
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "1 loops did not compile:" in out
+        assert f"{failure['tag']}: [error/invalid_input] no schedule found" in out
 
     def test_schemes_filter_runs_registered_scheme(self, capsys):
         assert (
@@ -200,7 +221,9 @@ class TestBench:
         capsys.readouterr()
         lines = events.read_text().strip().splitlines()
         assert lines
-        kinds = {json.loads(line)["kind"] for line in lines}
+        records = [json.loads(line) for line in lines]
+        assert {record["type"] for record in records} == {"event"}
+        kinds = {record["kind"] for record in records}
         assert "finished" in kinds or "cache_hit" in kinds
 
 
